@@ -5,9 +5,10 @@ Subpackages by subject:
 - :mod:`seqop.combinatorics` - surjection words, overlapping partitions,
   composition diagrams, and the four sign rules.
 - :mod:`seqop.operad` - elements, boundary, symmetric action, composition,
-  the prepend contraction, and the complexity filtration.
+  the prepend contraction, the complexity filtration, and the operator side
+  of the chain-map, equivariance and composition identities of an action.
 - :mod:`seqop.simplicial` - finite complexes, normalized (co)chains, the
-  coaction, cup-i products, Steenrod squares, and evaluation oracles.
+  coaction, cup-i products, Steenrod squares, and the equality oracle.
 - :mod:`seqop.homology` - sparse integer Smith reduction and homology of
   graded word complexes.
 - :mod:`seqop.berger` - the pairwise-complexity poset operad and its

@@ -75,12 +75,6 @@ class PosetElement:
             vals[(i, j)] = item["val"]
         return cls(k, tuple(vals.get(p, 0) for p in pairs), tuple(data["order"]))
 
-    @classmethod
-    def from_weight_map(cls, k: int, weight, order: Sequence[int]) -> "PosetElement":
-        """Build from a callable or mapping on pairs (i, j) with i < j."""
-        getter = weight.__getitem__ if hasattr(weight, "__getitem__") else weight
-        return cls(k, tuple(getter((i, j)) for i, j in _pair_index(k)), tuple(order))
-
 
 def leq(x: PosetElement, y: PosetElement) -> bool:
     """The partial order: componentwise <=, strict on every pair whose

@@ -396,19 +396,31 @@ def epsilon_sign(entries: Sequence[int], partition: OverlappingPartition) -> int
     return -1 if epsilon_parity(entries, partition.piece_sizes) else 1
 
 
+def koszul_parity(sigma: Sequence[int], degrees: Sequence[int]) -> int:
+    """Koszul parity of rearranging graded items so slot a holds item sigma(a).
+
+    ``sigma`` is in one-line notation on {1..k} and ``degrees[i - 1]`` is
+    the degree of item i; sums degree(sigma(a)) degree(sigma(b)) over the
+    slot pairs a < b that sigma inverts.
+
+    >>> koszul_parity((2, 1), (1, 1))
+    1
+    """
+    acc = 0
+    for a, b in itertools.combinations(range(len(sigma)), 2):
+        if sigma[a] > sigma[b]:
+            acc += degrees[sigma[a] - 1] * degrees[sigma[b] - 1]
+    return acc % 2
+
+
 def zeta_parity(entries: Sequence[int], arity: int, rho: Sequence[int]) -> int:
     """Parity of the relabeling sign for a permutation acting on a word.
 
-    Sums ||f^-1(i)|| ||f^-1(i')|| over value pairs i < i' that are
-    inverted by rho^-1.
+    The Koszul parity of rho on the fiber norms ||f^-1(i)||, i.e. the sum
+    of ||f^-1(i)|| ||f^-1(i')|| over value pairs i < i' inverted by rho^-1.
     """
     counts = Counter(entries)
-    rinv = perm_inverse(rho)
-    acc = 0
-    for i, i2 in itertools.combinations(range(1, arity + 1), 2):
-        if rinv[i - 1] > rinv[i2 - 1]:
-            acc += (counts[i] - 1) * (counts[i2] - 1)
-    return acc % 2
+    return koszul_parity(rho, [counts[i] - 1 for i in range(1, arity + 1)])
 
 
 def zeta_sign(entries: Sequence[int], arity: int, rho: Sequence[int]) -> int:

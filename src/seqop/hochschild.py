@@ -23,6 +23,7 @@ from .combinatorics import (
     Surjection,
     complexity,
     epsilon_parity,
+    koszul_parity,
     partition_size_compositions,
     perm_inverse,
     zeta_parity,
@@ -425,15 +426,6 @@ def theta(e: OperadElement | Surjection, cochains: Sequence[HochschildCochain]) 
     return result
 
 
-def _rearrangement_parity(sigma: Sequence[int], degrees: Sequence[int]) -> int:
-    """Koszul parity of rearranging graded slots so slot a holds item sigma(a)."""
-    acc = 0
-    for a, b in itertools.combinations(range(len(sigma)), 2):
-        if sigma[a] > sigma[b]:
-            acc += degrees[sigma[a] - 1] * degrees[sigma[b] - 1]
-    return acc % 2
-
-
 def _standardize(word: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
     """Relabel a word onto 1..k by value order; returns (word, value list)."""
     values = sorted(set(word))
@@ -475,8 +467,7 @@ def _theta_basis(entries: tuple[int, ...], cochains: list, ring: FiniteRing) -> 
     lam_inv = perm_inverse(lam)
 
     zeta = zeta_parity(entries, k, lam_inv)
-    degrees = [x.degree for x in cochains]
-    koszul = _rearrangement_parity(lam_inv, degrees)
+    koszul = koszul_parity(lam_inv, [x.degree for x in cochains])
     permuted = [cochains[lam_inv[a] - 1] for a in range(k)]
     relabeled = tuple(lam[v - 1] for v in entries)
 
@@ -558,25 +549,3 @@ def brace_word_action(num_slots: int, cochains: list, ring: FiniteRing) -> Hochs
         acc = acc + (-1 if parity else 1) * term
     return acc
 
-
-def tensor_differential_terms(cochains: Sequence[HochschildCochain]):
-    """Signed terms of the tensor coboundary of a cochain tuple."""
-    out = []
-    parity = 0
-    for i, x in enumerate(cochains):
-        term = list(cochains)
-        term[i] = hochschild_d(x)
-        out.append((-1 if parity % 2 else 1, term))
-        parity += x.degree
-    return out
-
-
-def theta_operator_differential(e: OperadElement, cochains: Sequence[HochschildCochain]) -> HochschildCochain:
-    """d(theta(e, x)) - (-1)^{|e|} theta(e, d x): the operator-side boundary
-    that the combinatorial differential must match for the action to be a
-    chain map."""
-    result = hochschild_d(theta(e, cochains))
-    sign = -1 if e.degree % 2 else 1
-    for s, term in tensor_differential_terms(cochains):
-        result = result - (sign * s) * theta(e, term)
-    return result

@@ -57,23 +57,12 @@ class SparseIntMatrix:
     def entry(self, r: int, c: int) -> int:
         return self.data.get(r, {}).get(c, 0)
 
-    def items(self):
-        for r, row in self.data.items():
-            for c, v in row.items():
-                yield r, c, v
-
     @property
     def nnz(self) -> int:
         return sum(len(row) for row in self.data.values())
 
     def is_zero(self) -> bool:
         return not self.data
-
-    def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for r, c, v in self.items():
-            out[r][c] = v
-        return out
 
     def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.cols != other.rows:
@@ -89,35 +78,22 @@ class SparseIntMatrix:
                     out.set(r, c, v)
         return out
 
-    def copy(self) -> "SparseIntMatrix":
-        out = SparseIntMatrix(self.rows, self.cols)
-        out.data = {r: dict(row) for r, row in self.data.items()}
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, SparseIntMatrix):
             return NotImplemented
         return self.rows == other.rows and self.cols == other.cols and self.data == other.data
 
 
-def _dense_identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 class _Reducer:
-    """Shared elimination engine; transforms are tracked only when asked."""
+    """Sparse elimination engine that records the Smith diagonal."""
 
-    def __init__(self, M: SparseIntMatrix, transforms: bool):
-        self.nrows, self.ncols = M.rows, M.cols
+    def __init__(self, M: SparseIntMatrix):
         self.rows = {r: dict(row) for r, row in M.data.items()}
         self.colmap: dict[int, set[int]] = {}
         for r, row in self.rows.items():
             for c in row:
                 self.colmap.setdefault(c, set()).add(r)
-        self.U = _dense_identity(M.rows) if transforms else None
-        self.V = _dense_identity(M.cols) if transforms else None
         self.factors: list[int] = []
-        self.pivots: list[tuple[int, int]] = []
         self.heap: list[tuple[int, int]] = [(len(row), r) for r, row in self.rows.items()]
         heapq.heapify(self.heap)
 
@@ -141,10 +117,6 @@ class _Reducer:
             heapq.heappush(self.heap, (len(trow), target))
         else:
             del self.rows[target]
-        if self.U is not None:
-            urow_t, urow_s = self.U[target], self.U[source]
-            for i in range(self.nrows):
-                urow_t[i] += q * urow_s[i]
 
     def _col_add(self, target: int, source: int, q: int):
         """col[target] += q * col[source]"""
@@ -160,17 +132,12 @@ class _Reducer:
             else:
                 row.pop(target, None)
                 self.colmap[target].discard(r)
-        if self.V is not None:
-            for i in range(self.ncols):
-                self.V[i][target] += q * self.V[i][source]
 
     def _negate_row(self, r: int):
         row = self.rows.get(r)
         if row:
             for c in row:
                 row[c] = -row[c]
-        if self.U is not None:
-            self.U[r] = [-v for v in self.U[r]]
 
     # pivot selection -------------------------------------------------------
 
@@ -288,7 +255,6 @@ class _Reducer:
                     self._negate_row(r)
                 self._clear_pivot(r, c)
                 self.factors.append(self.rows[r][c])
-            self.pivots.append((r, c))
             row = self.rows.pop(r)
             self.colmap[c].discard(r)
             for c2 in row:
@@ -297,37 +263,13 @@ class _Reducer:
 
 def invariant_factors(M: SparseIntMatrix) -> list[int]:
     """The nonzero diagonal of the Smith form, in divisibility order."""
-    reducer = _Reducer(M, transforms=False)
+    reducer = _Reducer(M)
     reducer.run()
     return sorted(reducer.factors, key=abs)
 
 
 def rank(M: SparseIntMatrix) -> int:
     return len(invariant_factors(M))
-
-
-def smith_normal_form(M: SparseIntMatrix) -> tuple[SparseIntMatrix, SparseIntMatrix, SparseIntMatrix]:
-    """Diagonalize: returns (D, U, V) with U M V = D, U and V unimodular,
-    and the diagonal of D in divisibility order d1 | d2 | ...
-    """
-    reducer = _Reducer(M, transforms=True)
-    reducer.run()
-
-    U = SparseIntMatrix.from_dense(reducer.U)
-    V = SparseIntMatrix.from_dense(reducer.V)
-    # permute the recorded pivots onto the leading diagonal
-    perm_rows = [r for r, _ in reducer.pivots] + [
-        r for r in range(M.rows) if r not in {p[0] for p in reducer.pivots}
-    ]
-    perm_cols = [c for _, c in reducer.pivots] + [
-        c for c in range(M.cols) if c not in {p[1] for p in reducer.pivots}
-    ]
-    P = SparseIntMatrix(M.rows, M.rows, {(i, r): 1 for i, r in enumerate(perm_rows)})
-    Q = SparseIntMatrix(M.cols, M.cols, {(c, j): 1 for j, c in enumerate(perm_cols)})
-    U = P.matmul(U)
-    V = V.matmul(Q)
-    D = U.matmul(M).matmul(V)
-    return D, U, V
 
 
 @dataclass(frozen=True)
@@ -374,9 +316,9 @@ class GradedComplex:
 
 
 def homology(complex: GradedComplex, max_degree: int | None = None) -> dict[int, HomologyGroup]:
-    """Homology groups of a validated graded complex, degree by degree.
+    """Homology groups of a graded complex, degree by degree.
 
-    At the top stored degree the incoming differential is unknown, so the
+    Checks d o d = 0 first (raising ChainComplexError otherwise).  At the top stored degree the incoming differential is unknown, so the
     group there is only an upper bound for the kernel and is flagged
     incomplete rather than silently reported.
     """
@@ -401,9 +343,9 @@ def homology(complex: GradedComplex, max_degree: int | None = None) -> dict[int,
 def complex_from_word_basis(bases: dict) -> GradedComplex:
     """Assemble the deletion-differential complex over given word bases.
 
-    ``bases`` maps degree -> ordered list of Surjection.  Raises
-    ChainComplexError if some boundary term escapes the given basis (the
-    bases are not closed under the differential).
+    ``bases`` maps degree -> ordered list of Surjection.  Checks closure
+    only: raises ChainComplexError if some boundary term escapes the given
+    basis.  d o d = 0 is checked by :func:`homology`.
     """
     diffs = {}
     for d in sorted(bases):
@@ -418,7 +360,7 @@ def complex_from_word_basis(bases: dict) -> GradedComplex:
                     raise ChainComplexError(f"boundary of {f} leaves the basis at {key}")
                 M.set(index[key], col, M.entry(index[key], col) + sign)
         diffs[d] = M
-    return GradedComplex(dict(bases), diffs).validate()
+    return GradedComplex(dict(bases), diffs)
 
 
 def build_word_complex(arity: int, max_degree: int, max_complexity: int | None = None) -> GradedComplex:

@@ -4,7 +4,10 @@ Elements are integer linear combinations of nondegenerate surjection words
 of one arity and one homological degree (mixed degrees are represented as
 lists of homogeneous elements).  The module provides the differential, the
 right symmetric-group action, multivariable and partial composition, the
-prepend-a-1 contraction, and the complexity filtration.
+prepend-a-1 contraction, and the complexity filtration.  It also holds
+the operator side of the three identities an action of the operad must
+satisfy (chain map, equivariance, composition), for any algebra given as
+an evaluation map, a differential and a degree function.
 
 All values are immutable and all operations pure; results are
 deterministic and independent of evaluation order.
@@ -20,6 +23,7 @@ from .combinatorics import (
     boundary_terms,
     complexity,
     enumerate_diagrams,
+    koszul_parity,
     perm_inverse,
     tau,
     validate,
@@ -297,3 +301,62 @@ def complexity_bound(e: OperadElement) -> int:
 def in_complexity_suboperad(e: OperadElement, n: int) -> bool:
     """Whether every word of ``e`` has complexity <= n."""
     return complexity_bound(e) <= n
+
+
+# ---------------------------------------------------------------------------
+# Operator side of the structure identities, for any algebra.  ``evaluate(e,
+# args)`` applies an element to a list of algebra elements, ``d`` is the
+# algebra's differential and ``degree`` reads an algebra element's degree.
+# ---------------------------------------------------------------------------
+
+
+def operator_differential(evaluate, d, degree, e: OperadElement, args: Sequence):
+    """d(e(x)) - (-1)^{|e|} e(d x), the differential of e as an operator.
+
+    The action is a chain map when this equals
+    ``evaluate(differential(e), args)``.
+    """
+    result = d(evaluate(e, args))
+    sign = -1 if e.degree % 2 else 1
+    parity = 0
+    for i, x in enumerate(args):
+        term = list(args)
+        term[i] = d(x)
+        result = result - (-sign if parity % 2 else sign) * evaluate(e, term)
+        parity += degree(x)
+    return result
+
+
+def permuted_evaluate(evaluate, degree, e: OperadElement, rho: Sequence[int], args: Sequence):
+    """The right permutation action computed on the operator side.
+
+    Slot i receives x_{rho^-1(i)} with the Koszul sign of the
+    rearrangement; the action is equivariant when this equals
+    ``evaluate(act(e, rho), args)``.
+    """
+    rinv = perm_inverse(rho)
+    value = evaluate(e, [args[i - 1] for i in rinv])
+    return -value if koszul_parity(rinv, [degree(x) for x in args]) else value
+
+
+def nested_evaluate(evaluate, degree, e: OperadElement, inner: Sequence[OperadElement], args: Sequence):
+    """Evaluate a composition by nesting: inner elements first, then ``e``.
+
+    The sign moves each inner element past the argument blocks before it;
+    the action respects composition when this equals
+    ``evaluate(compose(e, inner), args)``.
+    """
+    if sum(g.arity for g in inner) != len(args):
+        raise ValueError("argument count does not match total inner arity")
+    parity = 0
+    moved = 0
+    pos = 0
+    values = []
+    for g in inner:
+        block = args[pos : pos + g.arity]
+        pos += g.arity
+        parity += g.degree * moved
+        moved += sum(degree(x) for x in block)
+        values.append(evaluate(g, block))
+    value = evaluate(e, values)
+    return -value if parity % 2 else value

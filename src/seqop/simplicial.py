@@ -9,11 +9,10 @@ coaction.  The coboundary carries the sign convention
 so the cup product realized by the word (1, 2) differs from the classical
 front-face/back-face product by (-1)^{|x||y|}.
 
-Besides the geometric operations this module is the measurement bench for
-the operad layer: every structure formula (differential, symmetric action,
-composition) can be checked against honest cochain evaluation on standard
-simplices, and :func:`oracle_equal` decides equality of operad elements
-that way.
+Evaluation on standard simplices is also an oracle for the operad layer:
+:func:`oracle_equal` decides equality of operad elements that way, and
+:func:`evaluate` with :func:`coboundary` is the algebra that the structure
+identities of :mod:`seqop.operad` are checked on.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .combinatorics import Surjection, epsilon_parity, partition_size_compositions, perm_inverse
+from .combinatorics import Surjection, epsilon_parity, partition_size_compositions
 from .operad import OperadElement
 
 
@@ -109,6 +108,11 @@ class _Valued:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coeffs", clean)
 
+    @staticmethod
+    def _check_key(complex, dim, key):
+        if len(key) != dim + 1 or not complex.has(key):
+            raise ValueError(f"{key} is not a {dim}-simplex of the complex")
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -148,19 +152,9 @@ class _Valued:
 class Chain(_Valued):
     """An integer combination of simplices of one dimension."""
 
-    @staticmethod
-    def _check_key(complex, dim, key):
-        if len(key) != dim + 1 or not complex.has(key):
-            raise ValueError(f"{key} is not a {dim}-simplex of the complex")
-
 
 class Cochain(_Valued):
     """An integer-valued function on the simplices of one dimension."""
-
-    @staticmethod
-    def _check_key(complex, dim, key):
-        if len(key) != dim + 1 or not complex.has(key):
-            raise ValueError(f"{key} is not a {dim}-simplex of the complex")
 
     def value(self, simplex: Sequence[int]) -> int:
         return self.coeffs.get(tuple(simplex), 0)
@@ -176,31 +170,22 @@ class Cochain(_Valued):
 
 
 class TensorChain(_Valued):
-    """An integer combination of k-tuples of simplices (mixed dimensions)."""
+    """An integer combination of k-tuples of simplices (mixed dimensions).
 
-    __slots__ = ("factors",)
+    The ``dim`` slot holds the number k of tensor factors.
+    """
 
-    def __init__(self, complex: SimplicialComplex, factors: int, coeffs: Mapping | None = None):
-        object.__setattr__(self, "factors", factors)
-        super().__init__(complex, -1, coeffs)
+    @property
+    def factors(self) -> int:
+        return self.dim
 
-    def _check_key(self, complex, dim, key):
-        if len(key) != self.factors:
-            raise ValueError(f"expected {self.factors} tensor factors")
+    @staticmethod
+    def _check_key(complex, factors, key):
+        if len(key) != factors:
+            raise ValueError(f"expected {factors} tensor factors")
         for simp in key:
             if not complex.has(simp):
                 raise ValueError(f"{simp} is not a simplex of the complex")
-
-    def __add__(self, other):
-        if self.complex != other.complex or self.factors != other.factors:
-            raise ComplexMismatchError("cannot add tensors of different shape")
-        acc = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            acc[key] = acc.get(key, 0) + value
-        return TensorChain(self.complex, self.factors, acc)
-
-    def __rmul__(self, scalar: int):
-        return TensorChain(self.complex, self.factors, {k: scalar * v for k, v in self.coeffs.items()})
 
 
 def dual_cochain(complex: SimplicialComplex, simplex: Sequence[int]) -> Cochain:
@@ -369,82 +354,6 @@ def steenrod_square(x: Cochain, i: int) -> Cochain:
     if not coboundary(xm).reduce_mod2().is_zero():
         raise NotACocycleError("steenrod_square needs a mod-2 cocycle")
     return cup_i(xm, xm, p - i).reduce_mod2()
-
-
-# ---------------------------------------------------------------------------
-# Operator-side evaluations: the oracle half of every structure formula.
-# ---------------------------------------------------------------------------
-
-
-def tensor_coboundary_terms(cochains: Sequence[Cochain]):
-    """Signed terms of the tensor-product coboundary of a cochain tuple."""
-    out = []
-    parity = 0
-    for i, x in enumerate(cochains):
-        term = list(cochains)
-        term[i] = coboundary(x)
-        out.append((-1 if parity % 2 else 1, term))
-        parity += x.dim
-    return out
-
-
-def endomorphism_differential(e: OperadElement, cochains: Sequence[Cochain]) -> Cochain:
-    """d(e(x)) - (-1)^{|e|} e(d x), the differential computed as an operator."""
-    result = coboundary(evaluate(e, cochains))
-    sign = -1 if e.degree % 2 else 1
-    for s, term in tensor_coboundary_terms(cochains):
-        result = result - (sign * s) * evaluate(e, term)
-    return result
-
-
-def permuted_arguments(sigma: Sequence[int], cochains: Sequence[Cochain]):
-    """Koszul data for rearranged arguments: slot i receives x_{sigma(i)}.
-
-    Returns (parity, permuted list); the parity counts inverted pairs
-    weighted by the degrees being transposed.
-    """
-    k = len(sigma)
-    permuted = [cochains[sigma[i] - 1] for i in range(k)]
-    parity = 0
-    for a, b in itertools.combinations(range(k), 2):
-        if sigma[a] > sigma[b]:
-            parity += cochains[sigma[a] - 1].dim * cochains[sigma[b] - 1].dim
-    return parity % 2, permuted
-
-
-def permuted_evaluate(e: OperadElement, rho: Sequence[int], cochains: Sequence[Cochain]) -> Cochain:
-    """The right permutation action computed on the operator side.
-
-    Slot i receives x_{rho^-1(i)} with the Koszul sign of the rearrangement,
-    so that for every element, evaluate(act(e, rho), x) equals
-    permuted_evaluate(e, rho, x).
-    """
-    parity, permuted = permuted_arguments(perm_inverse(rho), cochains)
-    value = evaluate(e, permuted)
-    return -value if parity else value
-
-
-def nested_evaluate(e: OperadElement, inner: Sequence[OperadElement], cochains: Sequence[Cochain]) -> Cochain:
-    """Evaluate a composition by nesting: inner elements first, then ``e``.
-
-    The sign moves each inner element past the argument blocks before it;
-    for every diagram expansion, evaluate(compose(e, inner), x) equals
-    this nested evaluation.
-    """
-    blocks = []
-    pos = 0
-    for g in inner:
-        blocks.append(list(cochains[pos : pos + g.arity]))
-        pos += g.arity
-    if pos != len(cochains):
-        raise ValueError("argument count does not match total inner arity")
-    parity = 0
-    for i2, g in enumerate(inner):
-        if g.degree % 2:
-            parity += sum(x.dim for b in blocks[:i2] for x in b)
-    inner_values = [evaluate(g, block) for g, block in zip(inner, blocks)]
-    value = evaluate(e, inner_values)
-    return -value if parity % 2 else value
 
 
 def oracle_equal(e1: OperadElement, e2: OperadElement, p_max: int | None = None) -> bool:

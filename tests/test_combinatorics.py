@@ -18,11 +18,13 @@ from seqop.combinatorics import (
     enumerate_partitions,
     epsilon_parity,
     epsilon_sign,
+    koszul_parity,
     perm_compose,
     perm_inverse,
     restrict,
     tau,
     validate,
+    zeta_parity,
     zeta_sign,
 )
 
@@ -210,6 +212,21 @@ class TestSigns:
 
     def test_zeta_alternating(self):
         assert zeta_sign((1, 2, 1, 2), 2, (2, 1)) == -1
+
+    def test_zeta_is_koszul_on_fiber_norms(self):
+        for k in (1, 2, 3):
+            for d in range(5):
+                for f in enumerate_basis(k, d):
+                    norms = [len(f.fiber(i)) - 1 for i in range(1, k + 1)]
+                    for rho in itertools.permutations(range(1, k + 1)):
+                        # reference: the value-pair formula, inversions of rho^-1
+                        rinv = perm_inverse(rho)
+                        pairs = sum(
+                            norms[i - 1] * norms[i2 - 1]
+                            for i, i2 in itertools.combinations(range(1, k + 1), 2)
+                            if rinv[i - 1] > rinv[i2 - 1]
+                        )
+                        assert koszul_parity(rho, norms) == zeta_parity(f.entries, k, rho) == pairs % 2
 
     def test_perm_helpers(self):
         rho = (3, 1, 2)

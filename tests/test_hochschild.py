@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import attrgetter
 
 import pytest
 
@@ -17,12 +18,20 @@ from seqop.hochschild import (
     hochschild_d,
     identity_cochain,
     theta,
-    theta_operator_differential,
     upper_triangular,
 )
-from seqop.operad import OperadElement, act, compose, differential
+from seqop.operad import (
+    OperadElement,
+    act,
+    compose,
+    differential,
+    nested_evaluate,
+    operator_differential,
+    permuted_evaluate,
+)
 
 RINGS = [dual_numbers(), upper_triangular(), group_ring_c2()]
+DEGREE = attrgetter("degree")
 
 
 def random_cochain(ring, degree, rng):
@@ -206,7 +215,7 @@ class TestTheta:
                 assert lhs == theta(OperadElement.basis((2, 1)), xs) - theta(
                     OperadElement.basis((1, 2)), xs
                 )
-                assert lhs == theta_operator_differential(e, xs)
+                assert lhs == operator_differential(theta, hochschild_d, DEGREE, e, xs)
 
     def test_chain_map_randomized(self):
         rng = random.Random(13)
@@ -223,7 +232,7 @@ class TestTheta:
             xs = [random_cochain(ring, c - 1 + rng.choice((0, 1)), rng) for c in counts]
             e = OperadElement.basis(f.entries, k)
             lhs = theta(differential(e), xs)
-            rhs = theta_operator_differential(e, xs)
+            rhs = operator_differential(theta, hochschild_d, DEGREE, e, xs)
             assert lhs == rhs, (f.entries, [x.degree for x in xs])
             nonvacuous += 0 if lhs.is_zero() else 1
         assert nonvacuous > 5
@@ -249,6 +258,7 @@ class TestTheta:
                     parity += xs[rinv[a] - 1].degree * xs[rinv[b] - 1].degree
             rhs = theta(e, [xs[rinv[i] - 1] for i in range(k)])
             assert theta(act(e, rho), xs) == (-1 if parity % 2 else 1) * rhs
+            assert permuted_evaluate(theta, DEGREE, e, rho, xs) == (-1 if parity % 2 else 1) * rhs
 
     def test_composition_randomized(self):
         rng = random.Random(15)
@@ -281,5 +291,6 @@ class TestTheta:
                 vals.append(theta(g, block))
             rhs = theta(e, vals)
             assert lhs == (-1 if parity % 2 else 1) * rhs
+            assert nested_evaluate(theta, DEGREE, e, inner, ys) == (-1 if parity % 2 else 1) * rhs
             nonvacuous += 0 if lhs.is_zero() else 1
         assert nonvacuous > 5

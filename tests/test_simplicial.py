@@ -1,10 +1,19 @@
 import itertools
 import random
+from operator import attrgetter
 
 import pytest
 
 from seqop.combinatorics import enumerate_basis
-from seqop.operad import OperadElement, act, compose, differential
+from seqop.operad import (
+    OperadElement,
+    act,
+    compose,
+    differential,
+    nested_evaluate,
+    operator_differential,
+    permuted_evaluate,
+)
 from seqop.simplicial import (
     Chain,
     Cochain,
@@ -17,19 +26,17 @@ from seqop.simplicial import (
     cup,
     cup_i,
     dual_cochain,
-    endomorphism_differential,
     evaluate,
     is_mod2_coboundary,
     mod2_cohomologous,
     mod2_cohomology_basis,
-    nested_evaluate,
     oracle_equal,
-    permuted_evaluate,
     projective_plane,
     standard_simplex,
     steenrod_square,
 )
 
+DIM = attrgetter("dim")
 D3 = standard_simplex(3)
 D4 = standard_simplex(4)
 
@@ -212,7 +219,7 @@ class TestOracles:
                     dims = [rng.choice((0, 1)) for _ in range(k)]
                     K = standard_simplex(max(sum(dims), 1))
                     xs = [dense(K, p, rng) for p in dims]
-                    assert evaluate(differential(e), xs) == endomorphism_differential(e, xs)
+                    assert evaluate(differential(e), xs) == operator_differential(evaluate, coboundary, DIM, e, xs)
 
     def test_differential_oracle_arity_three_sweep(self):
         # one random degree tuple per basis word through length 5
@@ -223,7 +230,7 @@ class TestOracles:
                 dims = [rng.choice((0, 1, 2)) for _ in range(3)]
                 K = standard_simplex(max(sum(dims), 1))
                 xs = [dense(K, p, rng) for p in dims]
-                assert evaluate(differential(e), xs) == endomorphism_differential(e, xs)
+                assert evaluate(differential(e), xs) == operator_differential(evaluate, coboundary, DIM, e, xs)
 
     def test_permutation_oracle(self):
         rng = random.Random(8)
@@ -238,7 +245,7 @@ class TestOracles:
             K = standard_simplex(max(sum(dims), 1))
             xs = [dense(K, p, rng) for p in dims]
             lhs = evaluate(act(e, rho), xs)
-            assert lhs == permuted_evaluate(e, rho, xs)
+            assert lhs == permuted_evaluate(evaluate, DIM, e, rho, xs)
             hits += 0 if lhs.is_zero() else 1
         assert hits > 10
 
@@ -259,6 +266,6 @@ class TestOracles:
             K = standard_simplex(max(sum(dims), 1))
             xs = [dense(K, p, rng) for p in dims]
             lhs = evaluate(compose(e, inner), xs)
-            assert lhs == nested_evaluate(e, inner, xs)
+            assert lhs == nested_evaluate(evaluate, DIM, e, inner, xs)
             hits += 0 if lhs.is_zero() else 1
         assert hits > 5
