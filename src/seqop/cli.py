@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import acceptance, berger, hochschild, homology, operad, simplicial
-from .combinatorics import InvalidEntryError, complexity, enumerate_basis, validate
+from .combinatorics import InvalidEntryError, Surjection, complexity, enumerate_basis, validate
 from .homology import ChainComplexError
 from .operad import OperadElement
 
@@ -47,12 +47,17 @@ def _parse_json(text: str):
         raise InputError(f"malformed JSON: {exc}") from None
 
 
-def _element(seq: tuple[int, ...], arity: int | None) -> OperadElement:
+def _word(seq: tuple[int, ...], arity: int | None) -> Surjection:
     if arity is None:
         arity = max(seq, default=0)
     word = validate(seq, arity)
     if not word:
         raise InputError(f"{seq} is degenerate or not surjective onto 1..{arity}")
+    return word
+
+
+def _element(seq: tuple[int, ...], arity: int | None) -> OperadElement:
+    word = _word(seq, arity)
     return OperadElement(word.arity, word.degree, {word: 1})
 
 
@@ -65,8 +70,21 @@ def _homology_json(groups) -> dict:
     return {str(q): g.to_json() for q, g in groups.items()}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _cochain_from_json(complex, data) -> simplicial.Cochain:
-    coeffs = {tuple(item["simplex"]): item["coeff"] for item in data.get("values", [])}
+    if not isinstance(data, dict) or not _is_int(data.get("dim")):
+        raise InputError('a cochain needs an integer "dim"')
+    values = data.get("values", [])
+    if not isinstance(values, list):
+        raise InputError('cochain "values" must be a list')
+    coeffs = {}
+    for item in values:
+        if not isinstance(item, dict) or not isinstance(item.get("simplex"), list) or not _is_int(item.get("coeff")):
+            raise InputError(f'cochain value {item!r} needs a list "simplex" and an integer "coeff"')
+        coeffs[tuple(item["simplex"])] = item["coeff"]
     return simplicial.Cochain(complex, data["dim"], coeffs)
 
 
@@ -128,11 +146,12 @@ def _cmd_homology(args) -> None:
 
 def _cmd_coaction(args) -> None:
     simplex = tuple(_parse_seq(args.simplex))
+    word = _word(_parse_seq(args.seq), None)
     if args.complex:
         complex = simplicial.SimplicialComplex.from_json(_parse_json(args.complex))
     else:
         complex = simplicial.standard_simplex(max(simplex, default=0))
-    tensor = simplicial.coaction(complex, simplex, _parse_seq(args.seq))
+    tensor = simplicial.coaction(complex, simplex, word)
     _emit(
         {
             "factors": tensor.factors,

@@ -67,12 +67,39 @@ class Surjection:
     from untrusted data; the constructor itself rejects anything that is
     not surjective and nondegenerate.
 
+    Internal code that has already proved a word valid builds it with the
+    private :meth:`_trusted`, which skips these checks.  The sites, and why
+    each preserves validity:
+
+    - :func:`validate`, after its own checks, which are the constructor's;
+    - :func:`enumerate_basis`: its generator yields only surjective words
+      with adjacent entries distinct;
+    - ``operad.differential``: :func:`boundary_terms` drops every deletion
+      that leaves an adjacent-equal pair or loses a value;
+    - ``operad.act``: relabeling by a permutation of {1..k} keeps both
+      properties;
+    - ``operad.benson_homotopy``: prepending 1 to a nonempty word that does
+      not start with 1 adds no value and no equal neighbours;
+    - ``operad.iota``: shifting up by one and prepending 1 hits 1..k+1 and
+      puts 1 before an entry >= 2.
+
+    Words from outside still pass every check, through this constructor,
+    ``validate``, ``OperadElement.basis`` or ``OperadElement.from_json``.
+
     >>> Surjection(2, (1, 2, 1, 2)).degree
     2
     """
 
     arity: int
     entries: tuple[int, ...]
+
+    @classmethod
+    def _trusted(cls, arity: int, entries: tuple[int, ...]) -> "Surjection":
+        """A Surjection from a word the caller has proved valid, unchecked."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "arity", arity)
+        object.__setattr__(f, "entries", entries)
+        return f
 
     def __post_init__(self):
         if self.arity < 0:
@@ -127,7 +154,7 @@ def validate(entries: Sequence[int], arity: int):
             raise InvalidEntryError(f"entry {u} outside 1..{arity}")
     if not is_surjective(entries, arity) or not is_nondegenerate(entries):
         return DEGENERATE
-    return Surjection(arity, entries)
+    return Surjection._trusted(arity, entries)
 
 
 def tau(entries: Sequence[int]) -> tuple[int, ...]:
@@ -142,17 +169,9 @@ def tau(entries: Sequence[int]) -> tuple[int, ...]:
     >>> tau((2, 1))
     (2, 1)
     """
-    counts = Counter(entries)
-    below = {}
-    total = 0
-    for v in sorted(counts):
-        below[v] = total
-        total += counts[v]
-    seen: Counter = Counter()
-    out = []
-    for u in entries:
-        seen[u] += 1
-        out.append(below[u] + seen[u])
+    out = [0] * len(entries)
+    for rank, j in enumerate(sorted(range(len(entries)), key=entries.__getitem__), start=1):
+        out[j] = rank
     return tuple(out)
 
 
@@ -165,23 +184,21 @@ def restrict(entries: Sequence[int], positions: Iterable[int]) -> tuple[int, ...
     return tuple(entries[j - 1] for j in sorted(positions))
 
 
-def boundary_terms(entries: Sequence[int], arity: int) -> list[tuple[int, tuple[int, ...]]]:
+def boundary_terms(entries: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
     """Signed single-position deletions of a word, skipping the zeros.
 
-    Term ``j`` carries the sign ``(-1)**(tau[j] - entries[j])``; deletions
-    that produce an adjacent-equal pair or lose a value are dropped.
+    ``boundary_terms(entries)`` needs the word alone, not its arity, and
+    returns ``(sign, subword)`` pairs in position order.  Term ``j``
+    carries the sign ``(-1)**(tau[j] - entries[j])``; deletions that
+    produce an adjacent-equal pair or lose a value are dropped.
     """
     t = tau(entries)
-    counts = Counter(entries)
+    last = len(entries) - 1
     out = []
-    m = len(entries)
-    for j in range(m):
-        if 0 < j < m - 1 and entries[j - 1] == entries[j + 1]:
+    for j, u in enumerate(entries):
+        if (0 < j < last and entries[j - 1] == entries[j + 1]) or entries.count(u) == 1:
             continue
-        if counts[entries[j]] == 1:
-            continue
-        sign = -1 if (t[j] - entries[j]) % 2 else 1
-        out.append((sign, entries[:j] + entries[j + 1 :]))
+        out.append((-1 if (t[j] - u) % 2 else 1, entries[:j] + entries[j + 1 :]))
     return out
 
 
@@ -232,7 +249,7 @@ def enumerate_basis(arity: int, degree: int, max_complexity: int | None = None) 
     for w in _nondegenerate_words(arity, arity + degree):
         if max_complexity is not None and complexity(w, arity) > max_complexity:
             continue
-        out.append(Surjection(arity, w))
+        out.append(Surjection._trusted(arity, w))
     return out
 
 

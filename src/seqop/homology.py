@@ -346,19 +346,28 @@ def complex_from_word_basis(bases: dict) -> GradedComplex:
     ``bases`` maps degree -> ordered list of Surjection.  Checks closure
     only: raises ChainComplexError if some boundary term escapes the given
     basis.  d o d = 0 is checked by :func:`homology`.
+
+    Rows are indexed by entry tuples (a word's entries fix its arity).
+    Distinct deletions of a nondegenerate word give distinct words, so each
+    cell is written once, with a nonzero sign, straight into ``M.data``.
     """
     diffs = {}
     for d in sorted(bases):
         if d - 1 not in bases:
             continue
-        index = {f: i for i, f in enumerate(bases[d - 1])}
+        index = {f.entries: i for i, f in enumerate(bases[d - 1])}
         M = SparseIntMatrix(len(bases[d - 1]), len(bases[d]))
+        data = M.data
         for col, f in enumerate(bases[d]):
-            for sign, sub in boundary_terms(f.entries, f.arity):
-                key = Surjection(f.arity, sub)
-                if key not in index:
-                    raise ChainComplexError(f"boundary of {f} leaves the basis at {key}")
-                M.set(index[key], col, M.entry(index[key], col) + sign)
+            for sign, sub in boundary_terms(f.entries):
+                row = index.get(sub)
+                if row is None:
+                    raise ChainComplexError(f"boundary of {f} leaves the basis at {Surjection(f.arity, sub)}")
+                cells = data.get(row)
+                if cells is None:
+                    data[row] = {col: sign}
+                else:
+                    cells[col] = sign
         diffs[d] = M
     return GradedComplex(dict(bases), diffs)
 

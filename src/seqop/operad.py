@@ -170,8 +170,8 @@ def differential(e: OperadElement) -> OperadElement:
     """
     pairs = []
     for f, coeff in e._terms.items():
-        for sign, sub in boundary_terms(f.entries, f.arity):
-            pairs.append((sign * coeff, Surjection(f.arity, sub)))
+        for sign, sub in boundary_terms(f.entries):
+            pairs.append((sign * coeff, Surjection._trusted(f.arity, sub)))
     return _collect(e.arity, e.degree - 1, pairs)
 
 
@@ -188,7 +188,7 @@ def act(e: OperadElement, rho: Sequence[int]) -> OperadElement:
     pairs = []
     for f, coeff in e._terms.items():
         sign = -1 if zeta_parity(f.entries, f.arity, rho) else 1
-        relabeled = Surjection(e.arity, tuple(rinv[u - 1] for u in f.entries))
+        relabeled = Surjection._trusted(e.arity, tuple(rinv[u - 1] for u in f.entries))
         pairs.append((sign * coeff, relabeled))
     return _collect(e.arity, e.degree, pairs)
 
@@ -247,13 +247,16 @@ def benson_homotopy(e: OperadElement) -> OperadElement:
     """The contraction: prepend a 1 to every word (degenerate results die).
 
     Together with :func:`iota` and :func:`retract` it satisfies
-    d s + s d = id + iota o retract exactly.
+    d s + s d = id + iota o retract exactly.  Arity 0 is refused: its one
+    word is empty, and 1 prepended to it is not a word of arity 0.
     """
+    if e.arity < 1:
+        raise ArityMismatchError("benson_homotopy needs arity >= 1")
     pairs = []
     for f, coeff in e._terms.items():
-        if f.entries and f.entries[0] == 1:
+        if f.entries[0] == 1:
             continue
-        pairs.append((coeff, Surjection(f.arity, (1,) + f.entries)))
+        pairs.append((coeff, Surjection._trusted(f.arity, (1,) + f.entries)))
     return _collect(e.arity, e.degree + 1, pairs)
 
 
@@ -261,7 +264,7 @@ def iota(e: OperadElement) -> OperadElement:
     """Shift every entry up by one and prepend a 1; raises arity by one."""
     pairs = []
     for f, coeff in e._terms.items():
-        pairs.append((coeff, Surjection(f.arity + 1, (1,) + tuple(u + 1 for u in f.entries))))
+        pairs.append((coeff, Surjection._trusted(f.arity + 1, (1,) + tuple(u + 1 for u in f.entries))))
     return _collect(e.arity + 1, e.degree, pairs)
 
 

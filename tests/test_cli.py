@@ -6,6 +6,10 @@ from seqop import simplicial
 from seqop.cli import main
 
 
+DELTA2 = json.dumps({"vertices": 3, "simplices": [[0, 1, 2]]})
+EDGE = json.dumps({"dim": 1, "values": [{"simplex": [0, 1], "coeff": 1}]})
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -123,6 +127,23 @@ class TestContract:
         x = json.dumps({"dim": 1, "values": [{"simplex": [0, 1], "coeff": 1}]})
         code, _ = run(capsys, "steenrod", "--complex", rp2, "--x", x, "--i", "1")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cup", "--complex", DELTA2, "--x", '{"values": []}', "--y", EDGE],
+            ["cup", "--complex", DELTA2, "--x", EDGE.replace('"coeff": 1', '"coeff": 1.5'), "--y", EDGE],
+            ["coaction", "--simplex", "0,1,2", "--seq", "0,2"],
+            ["coaction", "--simplex", "0,1,2", "--seq", "1,1"],
+        ],
+        ids=["cochain-without-dim", "fractional-coeff", "coaction-entry-0", "coaction-degenerate"],
+    )
+    def test_malformed_exits_2_with_one_line(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_verify_single_criterion(self, capsys):
         code = main(["verify", "--criteria", "A5"])

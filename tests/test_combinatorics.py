@@ -1,10 +1,12 @@
 import itertools
+from collections import Counter
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqop import operad
 from seqop.combinatorics import (
     DEGENERATE,
     CompositionDiagram,
@@ -282,11 +284,11 @@ class TestDiagrams:
 
 class TestBoundaryTerms:
     def test_skips_zeros(self):
-        assert boundary_terms((1, 2), 2) == []
+        assert boundary_terms((1, 2)) == []
 
     def test_matches_worked_display(self):
         terms = dict()
-        for sign, sub in boundary_terms((1, 2, 3, 1, 2), 3):
+        for sign, sub in boundary_terms((1, 2, 3, 1, 2)):
             terms[sub] = sign
         assert terms == {
             (2, 3, 1, 2): 1,
@@ -294,3 +296,86 @@ class TestBoundaryTerms:
             (1, 2, 3, 2): -1,
             (1, 2, 3, 1): 1,
         }
+
+
+# The Counter-based kernels the lean tau/boundary_terms replaced, kept as the
+# reference they must agree with.
+def reference_tau(entries):
+    counts = Counter(entries)
+    below = {}
+    total = 0
+    for v in sorted(counts):
+        below[v] = total
+        total += counts[v]
+    seen = Counter()
+    out = []
+    for u in entries:
+        seen[u] += 1
+        out.append(below[u] + seen[u])
+    return tuple(out)
+
+
+def reference_boundary_terms(entries):
+    t = reference_tau(entries)
+    counts = Counter(entries)
+    out = []
+    m = len(entries)
+    for j in range(m):
+        if 0 < j < m - 1 and entries[j - 1] == entries[j + 1]:
+            continue
+        if counts[entries[j]] == 1:
+            continue
+        sign = -1 if (t[j] - entries[j]) % 2 else 1
+        out.append((sign, entries[:j] + entries[j + 1 :]))
+    return out
+
+
+class TestLeanKernels:
+    def test_agree_with_reference_on_every_small_word(self):
+        checked = 0
+        for k, d in itertools.product(range(5), range(6)):
+            for f in enumerate_basis(k, d):
+                # the prepend-a-1 words A4 feeds, and here their degenerate ones too
+                for w in (f.entries, (1,) + f.entries):
+                    assert tau(w) == reference_tau(w), w
+                    assert boundary_terms(w) == reference_boundary_terms(w), w
+                checked += 1
+        assert checked == 34070
+
+    @given(words(max_arity=5, max_len=9))
+    @settings(max_examples=200, deadline=None)
+    def test_agree_with_reference_on_arbitrary_words(self, word_k):
+        w, _ = word_k
+        assert tau(w) == reference_tau(w)
+        assert boundary_terms(w) == reference_boundary_terms(w)
+
+
+def assert_checked_equal(f):
+    """``f`` equals, hashes and orders like the checked Surjection of its word."""
+    assert type(f) is Surjection and type(f.entries) is tuple
+    checked = Surjection(f.arity, f.entries)
+    assert validate(f.entries, f.arity) == checked
+    assert f == checked and hash(f) == hash(checked)
+    assert not f < checked and not f > checked and f <= checked and f >= checked
+
+
+class TestTrustedConstruction:
+    @given(st.sampled_from([(1, 0)] + [(k, d) for k in (2, 3, 4) for d in range(5)]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_trusted_site_yields_valid_words(self, kd, data):
+        k, d = kd
+        basis = enumerate_basis(k, d)
+        for f in basis:
+            assert_checked_equal(f)
+        f = data.draw(st.sampled_from(basis))
+        rho = tuple(data.draw(st.permutations(range(1, k + 1))))
+        e = operad.OperadElement(k, d, {f: 1})
+        images = [
+            operad.differential(e),
+            operad.act(e, rho),
+            operad.benson_homotopy(e),
+            operad.iota(e),
+        ]
+        for image in images:
+            for g in image.terms():
+                assert_checked_equal(g)

@@ -189,6 +189,8 @@ class TestContraction:
     def test_prepend_examples(self):
         assert benson_homotopy(basis(2, 1)) == basis(1, 2, 1)
         assert benson_homotopy(basis(1, 2, 1)).is_zero()
+        with pytest.raises(ArityMismatchError):
+            benson_homotopy(basis())  # (1,) is not a word of arity 0
 
     def test_iota_examples(self):
         assert iota(basis(1)) == basis(1, 2)
