@@ -2,8 +2,9 @@
 
 Subpackages by subject:
 
-- :mod:`seqop.combinatorics` - surjection words, overlapping partitions,
-  composition diagrams, and the four sign rules.
+- :mod:`seqop.combinatorics` - surjection words, overlapping partitions as
+  piece-size tuples, the signed sum over composition diagrams, and the four
+  sign rules.
 - :mod:`seqop.operad` - elements, boundary, symmetric action, composition,
   the prepend contraction, the complexity filtration, and the operator side
   of the chain-map, equivariance and composition identities of an action.

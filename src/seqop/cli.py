@@ -74,6 +74,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(v) for v in value)
+
+
+def _complex_from_json(data) -> simplicial.SimplicialComplex:
+    if not isinstance(data, dict) or not _is_int(data.get("vertices")):
+        raise InputError('a complex needs an integer "vertices"')
+    simplices = data.get("simplices")
+    if not isinstance(simplices, list) or not all(_is_int_list(s) for s in simplices):
+        raise InputError('a complex needs "simplices", a list of integer lists')
+    return simplicial.SimplicialComplex.from_json(data)
+
+
 def _cochain_from_json(complex, data) -> simplicial.Cochain:
     if not isinstance(data, dict) or not _is_int(data.get("dim")):
         raise InputError('a cochain needs an integer "dim"')
@@ -86,6 +99,57 @@ def _cochain_from_json(complex, data) -> simplicial.Cochain:
             raise InputError(f'cochain value {item!r} needs a list "simplex" and an integer "coeff"')
         coeffs[tuple(item["simplex"])] = item["coeff"]
     return simplicial.Cochain(complex, data["dim"], coeffs)
+
+
+def _theta_cochains(ring_text: str, cochain_texts: list[str]) -> list:
+    """The Hochschild cochains of ``hochschild-theta`` over their ring, checked."""
+    if ring_text in hochschild.SHIPPED_RINGS:
+        ring = hochschild.SHIPPED_RINGS[ring_text]()
+    else:
+        data = _parse_json(ring_text)
+        if not isinstance(data, dict) or not _is_int(data.get("rank")):
+            raise InputError('a ring needs an integer "rank"')
+        table = data.get("table")
+        if not isinstance(table, list) or not all(isinstance(row, list) and all(_is_int_list(v) for v in row) for row in table):
+            raise InputError('a ring needs a "table" of rows of integer lists')
+        if not _is_int_list(data.get("unit", [])):
+            raise InputError('a ring "unit" must be an integer list')
+        names = data.get("names", [])
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise InputError('ring "names" must be a list of strings')
+        ring = hochschild.FiniteRing.from_json(data)
+    cochains = []
+    for text in cochain_texts:
+        data = _parse_json(text)
+        if not isinstance(data, dict) or not _is_int(data.get("degree")):
+            raise InputError('a Hochschild cochain needs an integer "degree"')
+        values = data.get("values", [])
+        if not isinstance(values, list):
+            raise InputError('Hochschild cochain "values" must be a list')
+        table = {}
+        for item in values:
+            if not isinstance(item, dict) or not _is_int_list(item.get("args")) or not _is_int_list(item.get("value")):
+                raise InputError(f'Hochschild cochain value {item!r} needs integer lists "args" and "value"')
+            if len(item["value"]) != ring.rank:
+                raise InputError(f'Hochschild cochain value {item["value"]} must have length {ring.rank}')
+            table[tuple(item["args"])] = tuple(item["value"])
+        cochains.append(hochschild.HochschildCochain(ring, data["degree"], table))
+    return cochains
+
+
+def _poset_from_json(data) -> berger.PosetElement:
+    if not isinstance(data, dict) or not _is_int(data.get("k")):
+        raise InputError('a poset element needs an integer "k"')
+    if not isinstance(data.get("b"), list) or not _is_int_list(data.get("order")):
+        raise InputError('a poset element needs a list "b" and an integer-list "order"')
+    k = data["k"]
+    for item in data["b"]:
+        if not isinstance(item, dict) or not _is_int(item.get("val")):
+            raise InputError(f'poset weight {item!r} needs a "pair" and an integer "val"')
+        pair = item.get("pair")
+        if not _is_int_list(pair) or len(pair) != 2 or pair[0] == pair[1] or not all(1 <= v <= k for v in pair):
+            raise InputError(f"poset pair {pair!r} is not a 2-subset of 1..{k}")
+    return berger.PosetElement.from_json(data)
 
 
 # --------------------------------------------------------------------------
@@ -148,7 +212,7 @@ def _cmd_coaction(args) -> None:
     simplex = tuple(_parse_seq(args.simplex))
     word = _word(_parse_seq(args.seq), None)
     if args.complex:
-        complex = simplicial.SimplicialComplex.from_json(_parse_json(args.complex))
+        complex = _complex_from_json(_parse_json(args.complex))
     else:
         complex = simplicial.standard_simplex(max(simplex, default=0))
     tensor = simplicial.coaction(complex, simplex, word)
@@ -164,34 +228,26 @@ def _cmd_coaction(args) -> None:
 
 
 def _cmd_cup(args) -> None:
-    complex = simplicial.SimplicialComplex.from_json(_parse_json(args.complex))
+    complex = _complex_from_json(_parse_json(args.complex))
     x = _cochain_from_json(complex, _parse_json(args.x))
     y = _cochain_from_json(complex, _parse_json(args.y))
     _emit(simplicial.cup_i(x, y, args.i).to_json())
 
 
 def _cmd_steenrod(args) -> None:
-    complex = simplicial.SimplicialComplex.from_json(_parse_json(args.complex))
+    complex = _complex_from_json(_parse_json(args.complex))
     x = _cochain_from_json(complex, _parse_json(args.x))
     _emit(simplicial.steenrod_square(x, args.i).to_json())
 
 
 def _cmd_hochschild_theta(args) -> None:
-    if args.ring in hochschild.SHIPPED_RINGS:
-        ring = hochschild.SHIPPED_RINGS[args.ring]()
-    else:
-        ring = hochschild.FiniteRing.from_json(_parse_json(args.ring))
+    cochains = _theta_cochains(args.ring, args.cochain)
     e = _element(_parse_seq(args.seq), args.arity)
-    cochains = []
-    for text in args.cochain:
-        data = _parse_json(text)
-        table = {tuple(item["args"]): tuple(item["value"]) for item in data.get("values", [])}
-        cochains.append(hochschild.HochschildCochain(ring, data["degree"], table))
     _emit(hochschild.theta(e, cochains).to_json())
 
 
 def _cmd_berger_subcomplex(args) -> None:
-    bt = berger.PosetElement.from_json(_parse_json(args.poset))
+    bt = _poset_from_json(_parse_json(args.poset))
     complex = berger.subcomplex_basis(bt, args.max_degree)
     groups = homology.homology(complex)
     _emit(

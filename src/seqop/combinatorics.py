@@ -1,11 +1,14 @@
-"""Surjection words, overlapping partitions, composition diagrams and signs.
+"""Surjection words, overlapping partitions, composition terms and signs.
 
 This module is the pure combinatorial substrate of the package.  A
 *surjection word* is a finite sequence ``(u_1, ..., u_m)`` with entries in
 ``{1..k}`` hitting every value, read as a map ``{1..m} -> {1..k}``; it is
 *nondegenerate* when no two adjacent entries are equal.  Words are stored
-1-indexed.  Ground sets of overlapping partitions are arbitrary ascending
-integer tuples (typically ``{0..p}``, matching simplex vertices).
+1-indexed.  An overlapping partition of an ordered set (the vertices of a
+simplex, or a fiber of a word) is handled as its tuple of piece sizes; the
+coaction, the Hochschild brace sum and operad composition all sum over the
+tuples of :func:`partition_size_compositions`, signed by
+:func:`epsilon_parity`.
 
 All sign computations are exposed both as parities (``*_parity``, integers
 mod 2) and as signs in ``{+1, -1}``; internal code works with parities and
@@ -17,7 +20,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Sequence
 
 
@@ -123,9 +125,6 @@ class Surjection:
     def fiber(self, value: int) -> tuple[int, ...]:
         """The positions (1-indexed, ascending) mapping to ``value``."""
         return tuple(j + 1 for j, u in enumerate(self.entries) if u == value)
-
-    def restrict(self, positions: Iterable[int]) -> tuple[int, ...]:
-        return restrict(self.entries, positions)
 
     def to_json(self) -> dict:
         return {"arity": self.arity, "seq": list(self.entries)}
@@ -286,92 +285,22 @@ def _nondegenerate_words(arity: int, length: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OverlappingPartition:
-    """Consecutive pieces covering an ordered ground set, adjacent pieces
-    sharing exactly one element (the overlap point).
+def partition_size_compositions(ground_size: int, num_pieces: int):
+    """Yield the piece sizes of the overlapping partitions of an ordered set.
 
-    ``ground`` is an ascending integer tuple and ``pieces`` a tuple of
-    ascending tuples.  The partition is determined by its m-1 overlap
-    points, which is how enumeration works.
+    An overlapping partition cuts ``ground_size`` ordered elements into
+    ``num_pieces`` consecutive pieces, each sharing its last element with
+    the next piece's first, so it is fixed by its sizes.  Sizes are >= 1
+    and sum to ground_size + num_pieces - 1.  There are
+    C(ground_size + num_pieces - 2, num_pieces - 1) of them, one per weakly
+    increasing tuple of overlap points, yielded in the lexicographic order
+    of those points.
+
+    >>> list(partition_size_compositions(2, 2))
+    [(1, 2), (2, 1)]
     """
-
-    ground: tuple[int, ...]
-    pieces: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.pieces:
-            raise ValueError("an overlapping partition needs at least one piece")
-        if list(self.ground) != sorted(set(self.ground)):
-            raise ValueError("ground set must be strictly ascending")
-        cover = []
-        for j, piece in enumerate(self.pieces):
-            if not piece:
-                raise ValueError("pieces must be nonempty")
-            cover.extend(piece)
-            if j + 1 < len(self.pieces):
-                shared = set(piece) & set(self.pieces[j + 1])
-                if len(shared) != 1:
-                    raise ValueError("adjacent pieces must share exactly one element")
-                if piece[-1] != self.pieces[j + 1][0]:
-                    raise ValueError("pieces must be weakly increasing blocks")
-        if sorted(set(cover)) != list(self.ground):
-            raise ValueError("pieces must cover the ground set")
-        for a, b in zip(cover, cover[1:]):
-            if b < a:
-                raise ValueError("pieces must be weakly increasing blocks")
-
-    @property
-    def num_pieces(self) -> int:
-        return len(self.pieces)
-
-    @property
-    def piece_sizes(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.pieces)
-
-    @property
-    def overlap_points(self) -> tuple[int, ...]:
-        return tuple(p[-1] for p in self.pieces[:-1])
-
-    @classmethod
-    def from_overlap_points(cls, ground: Sequence[int], points: Sequence[int]) -> "OverlappingPartition":
-        ground = tuple(ground)
-        index = {t: i for i, t in enumerate(ground)}
-        cuts = [0] + [index[t] for t in points] + [len(ground) - 1]
-        for a, b in zip(cuts, cuts[1:]):
-            if b < a:
-                raise ValueError("overlap points must be weakly increasing")
-        pieces = tuple(ground[a : b + 1] for a, b in zip(cuts, cuts[1:]))
-        return cls(ground, pieces)
-
-
-def enumerate_partitions(ground: Iterable[int], num_pieces: int) -> list[OverlappingPartition]:
-    """All overlapping partitions of ``ground`` with ``num_pieces`` pieces.
-
-    There are C(|ground| + m - 2, m - 1) of them, one per weakly
-    increasing (m-1)-tuple of overlap points.
-
-    >>> [p.pieces for p in enumerate_partitions((0, 1), 2)]
-    [((0,), (0, 1)), ((0, 1), (1,))]
-    """
-    ground = tuple(ground)
     if num_pieces <= 0:
         raise ValueError("number of pieces must be positive")
-    if not ground:
-        return []
-    out = []
-    for points in itertools.combinations_with_replacement(ground, num_pieces - 1):
-        out.append(OverlappingPartition.from_overlap_points(ground, points))
-    assert len(out) == comb(len(ground) + num_pieces - 2, num_pieces - 1)
-    return out
-
-
-def partition_size_compositions(ground_size: int, num_pieces: int):
-    """Yield the piece-size tuples of partitions of a ground set of the
-    given size, in the same order as :func:`enumerate_partitions`.
-
-    Sizes are >= 1 and satisfy sum(sizes) = ground_size + num_pieces - 1.
-    """
     if ground_size <= 0:
         return
     for points in itertools.combinations_with_replacement(range(ground_size), num_pieces - 1):
@@ -404,13 +333,13 @@ def epsilon_parity(entries: Sequence[int], piece_sizes: Sequence[int]) -> int:
     return acc % 2
 
 
-def epsilon_sign(entries: Sequence[int], partition: OverlappingPartition) -> int:
+def epsilon_sign(entries: Sequence[int], piece_sizes: Sequence[int]) -> int:
     """The coaction sign in {+1, -1}.
 
-    >>> epsilon_sign((1, 2, 1), OverlappingPartition((0, 1), ((0,), (0, 1), (1,))))
+    >>> epsilon_sign((1, 2, 1), (1, 2, 1))
     -1
     """
-    return -1 if epsilon_parity(entries, partition.piece_sizes) else 1
+    return -1 if epsilon_parity(entries, piece_sizes) else 1
 
 
 def koszul_parity(sigma: Sequence[int], degrees: Sequence[int]) -> int:
@@ -465,84 +394,74 @@ def perm_compose(rho: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Composition diagrams
+# Composition
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompositionDiagram:
-    """One way of composing inner words into an outer surjection.
+def composition_terms(outer: Surjection, inner: Sequence[Surjection]):
+    """Yield ``(parity, composite entries)`` for each composition diagram.
 
-    Determined by a choice, for each value ``i`` of the outer word, of an
-    overlapping partition of the fiber over ``i`` with as many pieces as
-    the ``i``-th inner word has entries.  ``a`` maps the composite domain
-    order-preservingly onto outer positions; ``b`` records, per domain
-    element, the color ``i`` and the inner position ``r`` it lands in.
-    """
+    A diagram chooses, for each value i of ``outer``, an overlapping
+    partition of the fiber over i into as many pieces as ``inner[i - 1]``
+    has entries, given by its piece sizes; the choices run over the
+    product of the values in order, each in the order of
+    :func:`partition_size_compositions`.  The composite word reads the
+    outer positions left to right and, at each, the pieces covering it in
+    order, each contributing its inner entry shifted past the arities of
+    the inner words before it.  The parity is that of the composition sign:
+    each inner degree times the fiber norms ||f^-1(i')|| of the later
+    values i', plus the coaction parity of each inner word against its
+    piece sizes.
 
-    outer: Surjection
-    inner_sizes: tuple[int, ...]
-    fiber_partitions: tuple[OverlappingPartition, ...]
-    a: tuple[int, ...]
-    b: tuple[tuple[int, int], ...]
+    Composites may be degenerate; the caller discards them.  Nothing is
+    yielded when an inner word is empty, since that slot's nonempty fiber
+    cannot be covered: a zero composite, not an error.
 
-    @property
-    def domain_size(self) -> int:
-        return len(self.a)
-
-    def composite_entries(self, inner_entries: Sequence[Sequence[int]], inner_arities: Sequence[int]) -> tuple[int, ...]:
-        """The composite word: inner values shifted into consecutive blocks."""
-        offsets = [0]
-        for j in inner_arities[:-1]:
-            offsets.append(offsets[-1] + j)
-        return tuple(offsets[i - 1] + inner_entries[i - 1][r - 1] for i, r in self.b)
-
-    def eta_parity(self, inner_entries: Sequence[Sequence[int]], inner_arities: Sequence[int]) -> int:
-        """Parity of the composition sign for this diagram."""
-        k = self.outer.arity
-        fiber_norms = [len(self.outer.fiber(i)) - 1 for i in range(1, k + 1)]
-        acc = 0
-        for i in range(1, k + 1):
-            deg_i = self.inner_sizes[i - 1] - inner_arities[i - 1]
-            for i2 in range(i + 1, k + 1):
-                acc += deg_i * fiber_norms[i2 - 1]
-        for i in range(1, k + 1):
-            acc += epsilon_parity(inner_entries[i - 1], self.fiber_partitions[i - 1].piece_sizes)
-        return acc % 2
-
-
-def enumerate_diagrams(outer: Surjection, inner_sizes: Sequence[int]) -> list[CompositionDiagram]:
-    """All composition diagrams for an outer surjection and inner sizes.
-
-    Empty when some inner size is 0 against a nonempty fiber (that slot
-    cannot be covered), which is a zero composite rather than an error.
+    >>> list(composition_terms(Surjection(2, (1, 2)), [Surjection(2, (1, 2)), Surjection(1, (1,))]))
+    [(0, (1, 2, 3))]
     """
     k = outer.arity
-    if len(inner_sizes) != k:
-        raise ValueError("need one inner size per value of the outer word")
-    per_color = []
-    for i in range(1, k + 1):
-        fiber = outer.fiber(i)
-        if inner_sizes[i - 1] <= 0:
-            return []
-        per_color.append(enumerate_partitions(fiber, inner_sizes[i - 1]))
+    if len(inner) != k:
+        raise ValueError("need one inner word per value of the outer word")
+    if any(not g.entries for g in inner):
+        return
+    fiber_sizes = [outer.entries.count(i) for i in range(1, k + 1)]
+    later_norms = sum(fiber_sizes) - k
+    base = 0
+    offset = 0
+    per_value = []
+    for g, size in zip(inner, fiber_sizes):
+        later_norms -= size - 1
+        base += g.degree * later_norms
+        per_value.append(_fiber_covers(g.entries, size, offset))
+        offset += g.arity
+    # each outer position as (value index, rank within its fiber)
+    slots = []
+    seen = [0] * k
+    for u in outer.entries:
+        slots.append((u - 1, seen[u - 1]))
+        seen[u - 1] += 1
+    for choice in itertools.product(*per_value):
+        parity = base
+        for p, _ in choice:
+            parity += p
+        entries = []
+        for i, t in slots:
+            entries.extend(choice[i][1][t])
+        yield parity % 2, tuple(entries)
+
+
+def _fiber_covers(word: tuple[int, ...], fiber_size: int, offset: int):
+    """For each partition of a fiber into ``len(word)`` pieces, its coaction
+    parity and, per fiber element, the shifted entries of the pieces
+    covering that element, in piece order."""
     out = []
-    for choice in itertools.product(*per_color):
-        out.append(_diagram_from_partitions(outer, tuple(inner_sizes), choice))
+    for sizes in partition_size_compositions(fiber_size, len(word)):
+        covers = [[] for _ in range(fiber_size)]
+        start = 0
+        for u, size in zip(word, sizes):
+            for t in range(start, start + size):
+                covers[t].append(offset + u)
+            start += size - 1
+        out.append((epsilon_parity(word, sizes), covers))
     return out
-
-
-def _diagram_from_partitions(
-    outer: Surjection,
-    inner_sizes: tuple[int, ...],
-    partitions: tuple[OverlappingPartition, ...],
-) -> CompositionDiagram:
-    incidences = []
-    for i, partition in enumerate(partitions, start=1):
-        for r, piece in enumerate(partition.pieces, start=1):
-            for j in piece:
-                incidences.append((j, i, r))
-    incidences.sort()
-    a = tuple(j for j, _, _ in incidences)
-    b = tuple((i, r) for _, i, r in incidences)
-    return CompositionDiagram(outer, inner_sizes, partitions, a, b)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .combinatorics import Surjection, boundary_terms, enumerate_basis
 
@@ -26,13 +26,10 @@ class SparseIntMatrix:
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows: int, cols: int, entries: Mapping | None = None):
+    def __init__(self, rows: int, cols: int):
         self.rows = rows
         self.cols = cols
         self.data: dict[int, dict[int, int]] = {}
-        for (r, c), v in (entries or {}).items():
-            if v:
-                self.set(r, c, v)
 
     @classmethod
     def from_dense(cls, dense: Sequence[Sequence[int]]) -> "SparseIntMatrix":
@@ -53,9 +50,6 @@ class SparseIntMatrix:
             row.pop(c, None)
             if not row:
                 del self.data[r]
-
-    def entry(self, r: int, c: int) -> int:
-        return self.data.get(r, {}).get(c, 0)
 
     @property
     def nnz(self) -> int:

@@ -22,7 +22,7 @@ from .combinatorics import (
     Surjection,
     boundary_terms,
     complexity,
-    enumerate_diagrams,
+    composition_terms,
     koszul_parity,
     perm_inverse,
     tau,
@@ -209,18 +209,14 @@ def compose(e: OperadElement, inner: Sequence[OperadElement]) -> OperadElement:
     inner_items = [list(g._terms.items()) for g in inner]
     for f, cf in e._terms.items():
         for combo in _product(inner_items):
-            words = [g.entries for g, _ in combo]
-            arities = [g.arity for g, _ in combo]
             coeff = cf
             for _, c in combo:
                 coeff *= c
-            sizes = tuple(len(w) for w in words)
-            for diagram in enumerate_diagrams(f, sizes):
-                h = validate(diagram.composite_entries(words, arities), out_arity)
+            for parity, entries in composition_terms(f, [g for g, _ in combo]):
+                h = validate(entries, out_arity)
                 if h is DEGENERATE:
                     continue
-                sign = -1 if diagram.eta_parity(words, arities) else 1
-                pairs.append((sign * coeff, h))
+                pairs.append((-coeff if parity else coeff, h))
     return _collect(out_arity, out_degree, pairs)
 
 

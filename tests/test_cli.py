@@ -10,6 +10,9 @@ DELTA2 = json.dumps({"vertices": 3, "simplices": [[0, 1, 2]]})
 EDGE = json.dumps({"dim": 1, "values": [{"simplex": [0, 1], "coeff": 1}]})
 
 
+THETA_X = json.dumps({"degree": 1, "values": [{"args": [1], "value": [0, 1]}]})
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -20,6 +23,14 @@ def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     assert code == 0, out
     return json.loads(out)
+
+
+def assert_exits_2_with_one_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestVerbs:
@@ -139,11 +150,71 @@ class TestContract:
         ids=["cochain-without-dim", "fractional-coeff", "coaction-entry-0", "coaction-degenerate"],
     )
     def test_malformed_exits_2_with_one_line(self, capsys, argv):
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert_exits_2_with_one_line(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "ring,cochain",
+        [
+            ("dual-numbers", "[1]"),
+            ("dual-numbers", '{"values": []}'),
+            ("dual-numbers", '{"degree": true, "values": []}'),
+            ("dual-numbers", '{"degree": 1, "values": 5}'),
+            ("dual-numbers", '{"degree": 1, "values": [3]}'),
+            ("dual-numbers", '{"degree": 1, "values": [{"value": [0, 1]}]}'),
+            ("dual-numbers", '{"degree": 1, "values": [{"args": ["a"], "value": [0, 1]}]}'),
+            ("dual-numbers", '{"degree": 1, "values": [{"args": [1], "value": 5}]}'),
+            ("dual-numbers", '{"degree": 1, "values": [{"args": [1], "value": [0, 1, 7]}]}'),
+            ("dual-numbers", '{"degree": 1, "values": [{"args": [1], "value": [5]}]}'),
+            ("[1]", THETA_X),
+            ('{"table": [[[1]]]}', THETA_X),
+            ('{"rank": 1}', THETA_X),
+        ],
+        ids=[
+            "cochain-not-object",
+            "cochain-without-degree",
+            "cochain-bool-degree",
+            "values-not-list",
+            "value-not-object",
+            "value-without-args",
+            "args-not-integers",
+            "value-not-list",
+            "value-too-long",
+            "value-too-short",
+            "ring-not-object",
+            "ring-without-rank",
+            "ring-without-table",
+        ],
+    )
+    def test_malformed_theta_input_exits_2(self, capsys, ring, cochain):
+        argv = ["hochschild-theta", "--ring", ring, "--seq", "1,2", "--cochain", THETA_X, "--cochain", cochain]
+        assert_exits_2_with_one_line(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "poset",
+        [
+            {"b": [], "order": [1, 2]},
+            {"k": 2, "order": [1, 2]},
+            {"k": 2, "b": []},
+            {"k": 2, "b": [{"pair": [1, 1], "val": 1}], "order": [1, 2]},
+            {"k": 4, "b": [{"pair": [1, 5], "val": 1}], "order": [1, 2, 3, 4]},
+        ],
+        ids=["without-k", "without-b", "without-order", "pair-1-1", "pair-1-5"],
+    )
+    def test_malformed_poset_exits_2(self, capsys, poset):
+        argv = ["berger-subcomplex", "--max-degree", "2", "--poset", json.dumps(poset)]
+        assert_exits_2_with_one_line(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cup", "--complex", "[[0, 1, 2]]", "--x", EDGE, "--y", EDGE],
+            ["steenrod", "--complex", '{"vertices": 3}', "--x", EDGE, "--i", "0"],
+            ["coaction", "--simplex", "0,1", "--seq", "1,2", "--complex", '"0,1"'],
+        ],
+        ids=["cup-complex-not-object", "steenrod-complex-without-simplices", "coaction-complex-not-object"],
+    )
+    def test_malformed_complex_exits_2(self, capsys, argv):
+        assert_exits_2_with_one_line(capsys, argv)
 
     def test_verify_single_criterion(self, capsys):
         code = main(["verify", "--criteria", "A5"])

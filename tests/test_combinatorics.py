@@ -9,18 +9,16 @@ from hypothesis import strategies as st
 from seqop import operad
 from seqop.combinatorics import (
     DEGENERATE,
-    CompositionDiagram,
     InvalidEntryError,
-    OverlappingPartition,
     Surjection,
     boundary_terms,
     complexity,
+    composition_terms,
     enumerate_basis,
-    enumerate_diagrams,
-    enumerate_partitions,
     epsilon_parity,
     epsilon_sign,
     koszul_parity,
+    partition_size_compositions,
     perm_compose,
     perm_inverse,
     restrict,
@@ -157,50 +155,133 @@ class TestEnumerateBasis:
         assert all(a != b for f in basis for a, b in zip(f.entries, f.entries[1:]))
 
 
+# The object-based enumeration that partition_size_compositions and
+# composition_terms replaced, kept as the reference they must agree with:
+# partitions as tuples of pieces cut at weakly increasing overlap points,
+# diagrams as sorted incidences (outer position, value, inner position).
+def reference_partitions(ground, num_pieces):
+    ground = tuple(ground)
+    index = {t: i for i, t in enumerate(ground)}
+    out = []
+    for points in itertools.combinations_with_replacement(ground, num_pieces - 1):
+        cuts = [0] + [index[t] for t in points] + [len(ground) - 1]
+        out.append(tuple(ground[a : b + 1] for a, b in zip(cuts, cuts[1:])))
+    return out
+
+
+def is_overlapping_partition(ground, pieces):
+    """The checks the deleted partition class made on construction."""
+    if not pieces or list(ground) != sorted(set(ground)) or not all(pieces):
+        return False
+    for piece, following in zip(pieces, pieces[1:]):
+        if len(set(piece) & set(following)) != 1 or piece[-1] != following[0]:
+            return False
+    cover = [t for piece in pieces for t in piece]
+    return sorted(set(cover)) == list(ground) and cover == sorted(cover)
+
+
+def cut_by_sizes(ground, sizes):
+    pieces = []
+    start = 0
+    for size in sizes:
+        pieces.append(tuple(ground[start : start + size]))
+        start += size - 1
+    return tuple(pieces)
+
+
+def reference_diagrams(outer, inner):
+    """(parity, composite entries, a, b) for each diagram, in enumeration order."""
+    k = outer.arity
+    if any(not g.entries for g in inner):
+        return []
+    per_value = [reference_partitions(outer.fiber(i), len(inner[i - 1].entries)) for i in range(1, k + 1)]
+    offsets = list(itertools.accumulate([0] + [g.arity for g in inner[:-1]]))
+    fiber_norms = [len(outer.fiber(i)) - 1 for i in range(1, k + 1)]
+    out = []
+    for choice in itertools.product(*per_value):
+        incidences = sorted(
+            (j, i, r)
+            for i, partition in enumerate(choice, start=1)
+            for r, piece in enumerate(partition, start=1)
+            for j in piece
+        )
+        a = tuple(j for j, _, _ in incidences)
+        b = tuple((i, r) for _, i, r in incidences)
+        entries = tuple(offsets[i - 1] + inner[i - 1].entries[r - 1] for i, r in b)
+        parity = 0
+        for i in range(k):
+            parity += inner[i].degree * sum(fiber_norms[i + 1 :])
+            parity += epsilon_parity(inner[i].entries, [len(piece) for piece in choice[i]])
+        out.append((parity % 2, entries, a, b))
+    return out
+
+
+def reference_compose(e, inner):
+    out_arity = sum(g.arity for g in inner)
+    acc = {}
+    for f, cf in e.terms().items():
+        for combo in itertools.product(*[list(g.terms().items()) for g in inner]):
+            coeff = cf
+            for _, c in combo:
+                coeff *= c
+            for parity, entries, _, _ in reference_diagrams(f, [g for g, _ in combo]):
+                h = validate(entries, out_arity)
+                if h is not DEGENERATE:
+                    acc[h] = acc.get(h, 0) + (-coeff if parity else coeff)
+    return operad.OperadElement(out_arity, e.degree + sum(g.degree for g in inner), acc)
+
+
 class TestPartitions:
     def test_two_pieces_of_an_edge(self):
-        pieces = [p.pieces for p in enumerate_partitions((0, 1), 2)]
-        assert pieces == [((0,), (0, 1)), ((0, 1), (1,))]
+        assert list(partition_size_compositions(2, 2)) == [(1, 2), (2, 1)]
 
     def test_worked_partition_is_enumerated(self):
         target = ((0, 1, 2), (2, 3), (3,), (3, 4, 5))
-        assert target in [p.pieces for p in enumerate_partitions(range(6), 4)]
+        sizes = list(partition_size_compositions(6, 4))
+        assert (3, 2, 1, 3) in sizes
+        assert sizes.index((3, 2, 1, 3)) == reference_partitions(range(6), 4).index(target)
+        assert cut_by_sizes(range(6), (3, 2, 1, 3)) == target
 
     def test_singleton_ground(self):
-        assert len(enumerate_partitions((0,), 1)) == 1
+        assert list(partition_size_compositions(1, 1)) == [(1,)]
 
     def test_zero_pieces_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_partitions((0, 1), 0)
+            list(partition_size_compositions(2, 0))
 
     @pytest.mark.parametrize("size,m", [(1, 1), (2, 3), (4, 2), (5, 4), (3, 5)])
     def test_count_and_roundtrip(self, size, m):
-        parts = enumerate_partitions(range(size), m)
-        assert len(parts) == comb(size + m - 2, m - 1)
-        for p in parts:
-            again = OverlappingPartition.from_overlap_points(p.ground, p.overlap_points)
-            assert again == p
+        all_sizes = list(partition_size_compositions(size, m))
+        assert len(all_sizes) == comb(size + m - 2, m - 1)
+        for sizes in all_sizes:
+            assert len(sizes) == m and min(sizes) >= 1
+            assert sum(sizes) == size + m - 1
+        # same order as the overlap-point enumeration, and cutting by the
+        # sizes gives back its pieces
+        reference = reference_partitions(range(size), m)
+        assert all_sizes == [tuple(len(piece) for piece in pieces) for pieces in reference]
+        assert [cut_by_sizes(range(size), sizes) for sizes in all_sizes] == reference
 
-    def test_invalid_pieces_rejected(self):
-        with pytest.raises(ValueError):
-            OverlappingPartition((0, 1, 2), ((0, 1), (2,)))  # no shared point
-        with pytest.raises(ValueError):
-            OverlappingPartition((0, 1), ((0, 1), (0, 1)))  # two shared points
+    def test_sizes_cut_valid_partitions(self):
+        assert not is_overlapping_partition((0, 1, 2), ((0, 1), (2,)))  # no shared point
+        assert not is_overlapping_partition((0, 1), ((0, 1), (0, 1)))  # two shared points
+        for size, m in itertools.product(range(1, 7), range(1, 6)):
+            for sizes in partition_size_compositions(size, m):
+                assert is_overlapping_partition(tuple(range(size)), cut_by_sizes(range(size), sizes))
 
 
 class TestSigns:
     def test_epsilon_increasing_word(self):
-        for p in enumerate_partitions(range(4), 2):
-            assert epsilon_sign((1, 2), p) == 1
+        for sizes in partition_size_compositions(4, 2):
+            assert epsilon_sign((1, 2), sizes) == 1
 
     def test_epsilon_swap(self):
-        for p in enumerate_partitions(range(4), 2):
-            norms = (len(p.pieces[0]) - 1) * (len(p.pieces[1]) - 1)
-            assert epsilon_sign((2, 1), p) == (-1) ** norms
+        for sizes in partition_size_compositions(4, 2):
+            norms = (sizes[0] - 1) * (sizes[1] - 1)
+            assert epsilon_sign((2, 1), sizes) == (-1) ** norms
 
     def test_epsilon_worked_example(self):
-        p = OverlappingPartition((0, 1), ((0,), (0, 1), (1,)))
-        assert epsilon_sign((1, 2, 1), p) == -1
+        assert epsilon_sign((1, 2, 1), (1, 2, 1)) == -1
 
     def test_epsilon_piece_mismatch(self):
         with pytest.raises(ValueError):
@@ -239,47 +320,69 @@ class TestSigns:
 class TestDiagrams:
     def test_single_diagram_example(self):
         f = Surjection(2, (1, 2))
-        diagrams = enumerate_diagrams(f, (2, 1))
-        assert len(diagrams) == 1
-        d = diagrams[0]
-        assert d.composite_entries([(1, 2), (1,)], [2, 1]) == (1, 2, 3)
-        assert d.eta_parity([(1, 2), (1,)], [2, 1]) == 0
+        terms = list(composition_terms(f, [Surjection(2, (1, 2)), Surjection(1, (1,))]))
+        assert terms == [(0, (1, 2, 3))]
 
     def test_unit_slot(self):
         f = Surjection(1, (1,))
         for m in (1, 2, 3):
-            diagrams = enumerate_diagrams(f, (m,))
-            assert len(diagrams) == 1
             word = tuple(1 if j % 2 == 0 else 2 for j in range(m))
-            entries = d_entries = diagrams[0].composite_entries([word], [max(word)])
-            assert entries == word
+            assert list(composition_terms(f, [Surjection(max(word), word)])) == [(0, word)]
 
     def test_one_piece_per_fiber(self):
         f = Surjection(2, (1, 2, 1))
-        assert len(enumerate_diagrams(f, (1, 1))) == 1
+        unit = Surjection(1, (1,))
+        assert len(list(composition_terms(f, [unit, unit]))) == 1
 
     def test_zero_inner_size_means_no_diagrams(self):
         f = Surjection(2, (1, 2))
-        assert enumerate_diagrams(f, (0, 1)) == []
+        assert list(composition_terms(f, [Surjection(0, ()), Surjection(1, (1,))])) == []
 
     def test_diagram_count_is_product_of_partition_counts(self):
         f = Surjection(2, (1, 2, 1, 2))
         m1, m2 = 2, 3
         expect = comb(2 + m1 - 2, m1 - 1) * comb(2 + m2 - 2, m2 - 1)
-        assert len(enumerate_diagrams(f, (m1, m2))) == expect
+        assert len(list(composition_terms(f, [Surjection(2, (1, 2)), Surjection(2, (1, 2, 1))]))) == expect
 
     def test_special_adjacency_dichotomy(self):
         # within each color, consecutive domain elements move under exactly
-        # one of the two legs
+        # one of the two legs (checked on the reference diagrams, which
+        # test_matches_reference_item_for_item ties to composition_terms)
         f = Surjection(3, (1, 2, 3, 1, 2))
-        for d in enumerate_diagrams(f, (2, 1, 2)):
-            assert d.a == tuple(sorted(d.a))
+        inner = [Surjection(2, (1, 2)), Surjection(1, (1,)), Surjection(2, (2, 1))]
+        diagrams = reference_diagrams(f, inner)
+        assert [(p, w) for p, w, _, _ in diagrams] == list(composition_terms(f, inner))
+        for _, _, a, b in diagrams:
+            assert a == tuple(sorted(a))
             for i in range(1, 4):
-                part = [
-                    (d.a[l], d.b[l][1]) for l in range(d.domain_size) if d.b[l][0] == i
-                ]
+                part = [(a[l], b[l][1]) for l in range(len(a)) if b[l][0] == i]
                 for (a1, r1), (a2, r2) in zip(part, part[1:]):
                     assert (a1 < a2) != (r1 < r2)
+
+    def test_matches_reference_item_for_item(self):
+        # every outer word of arity 1-3, degree <= 2 and length <= 4 against
+        # every inner word of arity 0-2 and degree <= 1
+        inner_words = [g for k in range(3) for d in range(2) for g in enumerate_basis(k, d)]
+        checked = 0
+        for k, d in itertools.product((1, 2, 3), (0, 1, 2)):
+            for f in enumerate_basis(k, d):
+                if f.length > 4:
+                    continue
+                for combo in itertools.product(inner_words, repeat=k):
+                    reference = [(p, w) for p, w, _, _ in reference_diagrams(f, combo)]
+                    assert list(composition_terms(f, combo)) == reference
+                    e = operad.OperadElement(k, d, {f: 2})
+                    inner = [operad.OperadElement(g.arity, g.degree, {g: -1}) for g in combo]
+                    got, want = operad.compose(e, inner), reference_compose(e, inner)
+                    assert list(got.terms().items()) == list(want.terms().items())
+                    checked += 1
+        assert checked == 5406
+        # sums of words on both sides
+        e = operad.OperadElement.basis((1, 2, 1, 2)) + operad.OperadElement.basis((2, 1, 2, 1))
+        g = operad.OperadElement.basis((1, 2, 1)) - 2 * operad.OperadElement.basis((2, 1, 2))
+        h = 3 * operad.OperadElement.basis((1, 2)) + operad.OperadElement.basis((2, 1))
+        got, want = operad.compose(e, [g, h]), reference_compose(e, [g, h])
+        assert list(got.terms().items()) == list(want.terms().items())
 
 
 class TestBoundaryTerms:
