@@ -84,6 +84,9 @@ def _complex_from_json(data) -> simplicial.SimplicialComplex:
     simplices = data.get("simplices")
     if not isinstance(simplices, list) or not all(_is_int_list(s) for s in simplices):
         raise InputError('a complex needs "simplices", a list of integer lists')
+    for simplex in simplices:
+        if simplex != sorted(set(simplex)):
+            raise InputError(f"simplex {simplex} must be strictly ascending")
     return simplicial.SimplicialComplex.from_json(data)
 
 
@@ -132,6 +135,8 @@ def _theta_cochains(ring_text: str, cochain_texts: list[str]) -> list:
                 raise InputError(f'Hochschild cochain value {item!r} needs integer lists "args" and "value"')
             if len(item["value"]) != ring.rank:
                 raise InputError(f'Hochschild cochain value {item["value"]} must have length {ring.rank}')
+            if len(item["args"]) != data["degree"] or not all(1 <= t < ring.rank for t in item["args"]):
+                raise InputError(f'Hochschild cochain args {item["args"]} must be {data["degree"]} indices in 1..{ring.rank - 1}')
             table[tuple(item["args"])] = tuple(item["value"])
         cochains.append(hochschild.HochschildCochain(ring, data["degree"], table))
     return cochains
@@ -143,9 +148,11 @@ def _poset_from_json(data) -> berger.PosetElement:
     if not isinstance(data.get("b"), list) or not _is_int_list(data.get("order")):
         raise InputError('a poset element needs a list "b" and an integer-list "order"')
     k = data["k"]
+    if sorted(data["order"]) != list(range(1, k + 1)):
+        raise InputError(f'poset "order" {data["order"]} is not a permutation of 1..{k}')
     for item in data["b"]:
-        if not isinstance(item, dict) or not _is_int(item.get("val")):
-            raise InputError(f'poset weight {item!r} needs a "pair" and an integer "val"')
+        if not isinstance(item, dict) or not _is_int(item.get("val")) or item["val"] < 0:
+            raise InputError(f'poset weight {item!r} needs a "pair" and a nonnegative integer "val"')
         pair = item.get("pair")
         if not _is_int_list(pair) or len(pair) != 2 or pair[0] == pair[1] or not all(1 <= v <= k for v in pair):
             raise InputError(f"poset pair {pair!r} is not a 2-subset of 1..{k}")

@@ -6,28 +6,22 @@ is the unit.  A normalized cochain then vanishes whenever an argument is
 basis element 0, so tables are stored on tuples of nonzero indices only,
 making normalization a storage invariant.  Values are coordinate vectors.
 
-The word action theta sums, over the overlapping partitions of an
-auxiliary ground set, blown-up words evaluated through the recursive
-cup/substitution evaluator; together with the cup product and braces this
-is everything the complexity-two suboperad does to Hochschild cochains.
+The word action theta is one sum over overlapping partitions, the same
+size tuples and coaction sign that drive the cochain coaction and operad
+composition: each admissible tuple blows the word up, the blown-up word
+is evaluated through the recursive cup/substitution evaluator, and the
+only extra sign is the closed form d * sum(deg x_i) + C(d + 1, 2) for a
+word of degree d.  Together with the cup product and braces this is
+everything the complexity-two suboperad does to Hochschild cochains.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Mapping, Sequence
 
-from .combinatorics import (
-    Surjection,
-    complexity,
-    epsilon_parity,
-    koszul_parity,
-    partition_size_compositions,
-    perm_inverse,
-    zeta_parity,
-)
+from .combinatorics import Surjection, complexity, epsilon_parity, partition_size_compositions
 from .operad import OperadElement
 
 
@@ -380,29 +374,25 @@ def _eval_word(word: tuple[int, ...], cochains, ring) -> HochschildCochain:
     return brace(cochains[i - 1], [_eval_word(gap, cochains, ring) for gap in gaps])
 
 
-def _equal_value_pair_parity(entries: Sequence[int], arity: int) -> int:
-    """Parity of the number of two-element position sets on which the word
-    repeats a value.  (Reading the pair set as ordered distinct pairs gives
-    an always-even count, i.e. no sign at all; the chain-map identity for
-    the action distinguishes the two readings and forces this one.)"""
-    acc = 0
-    for i in range(1, arity + 1):
-        acc += comb(sum(1 for u in entries if u == i), 2)
-    return acc % 2
-
-
 def theta(e: OperadElement | Surjection, cochains: Sequence[HochschildCochain]) -> HochschildCochain:
     """The action of a complexity <= 2 element on Hochschild cochains.
 
-    Every complexity <= 2 word is, through a single composition diagram, a
-    cup product of its maximal segments or a substitution of its gap words
-    into the outermost value, so the action is computed by that structural
-    recursion, bottoming out in the explicit partition sum on the
-    interleaved substitution words (see :func:`brace_word_action`).  The
-    recursion is exactly the expansion that makes the action a map of
-    operads, which is how the sign ambiguities are resolved; the axioms
-    (chain map, composition, equivariance) are enforced by the test suite,
-    not assumed.
+    One sum over overlapping partitions, the sum behind the cochain
+    coaction and operad composition.  Take a word f of arity k with m
+    entries, degree d = m - k and output degree N = sum(deg x_i) - d.  Each
+    size tuple of ``partition_size_compositions(N + 1, m)`` whose sizes over
+    the fiber of each value i total deg x_i + 1 contributes its blown-up
+    word (entry j repeated sizes[j] times), evaluated by the
+    cup/substitution recursion, with sign
+    (-1)^(epsilon + d * sum(deg x_i) + d(d+1)/2), where epsilon is the
+    coaction parity of f against the sizes.
+
+    The last term is a closed form.  With r_i = |f^-1(i)| - 1, so that
+    sum(r_i) = d, the sign collects the number sum_i C(r_i + 1, 2) of
+    position pairs on which f repeats a value and the Koszul term
+    sum_{i<j} r_i r_j of moving the fibers past each other; the two add up
+    to C(d + 1, 2) for every word.  The axioms (chain map, composition,
+    equivariance) are enforced by the test suite and A8, not assumed.
     """
     if isinstance(e, Surjection):
         e = OperadElement(e.arity, e.degree, {e: 1})
@@ -417,135 +407,18 @@ def theta(e: OperadElement | Surjection, cochains: Sequence[HochschildCochain]) 
         if complexity(f.entries, f.arity) > 2:
             raise ValueError(f"{f} has complexity > 2")
     degrees = [x.degree for x in cochains]
-    out_degree = sum(degrees) - e.degree
+    d = e.degree
+    out_degree = sum(degrees) - d
     result = HochschildCochain(ring, out_degree, {})
     if out_degree < 0:
         return result
+    base = d * sum(degrees) + d * (d + 1) // 2
     for f, coeff in e.items():
-        result = result + coeff * _theta_basis(f.entries, list(cochains), ring)
+        fibers = [f.fiber(i) for i in range(1, f.arity + 1)]
+        for sizes in partition_size_compositions(out_degree + 1, len(f.entries)):
+            if any(sum(sizes[j - 1] for j in fiber) != p + 1 for fiber, p in zip(fibers, degrees)):
+                continue
+            word = tuple(u for u, size in zip(f.entries, sizes) for _ in range(size))
+            sign = -coeff if (epsilon_parity(f.entries, sizes) + base) % 2 else coeff
+            result = result + sign * _eval_word(word, cochains, ring)
     return result
-
-
-def _standardize(word: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
-    """Relabel a word onto 1..k by value order; returns (word, value list)."""
-    values = sorted(set(word))
-    index = {v: i + 1 for i, v in enumerate(values)}
-    return tuple(index[v] for v in word), values
-
-
-def _theta_basis(entries: tuple[int, ...], cochains: list, ring: FiniteRing) -> HochschildCochain:
-    """Action of one word, by segment/substitution decomposition.
-
-    ``entries`` is surjective onto 1..k and adjacent-distinct; ``cochains``
-    has one entry per value.  The word is first relabeled so that the
-    values of its maximal segments (or of its outermost value and gaps)
-    are consecutive; the relabeling contributes the word sign of the
-    permutation together with the Koszul sign of rearranging the cochains.
-    """
-    k = len(cochains)
-    if len(entries) == 1:
-        return cochains[0]
-
-    spans = _maximal_segments(entries)
-    if len(spans) > 1:
-        blocks = [sorted(set(entries[lo : hi + 1])) for lo, hi in spans]
-    else:
-        lo, hi = spans[0]
-        outer = entries[0]
-        slots = [pos for pos, v in enumerate(entries) if v == outer]
-        gaps = [entries[a + 1 : b] for a, b in zip(slots, slots[1:])]
-        blocks = [[outer]] + [sorted(set(gap)) for gap in gaps]
-
-    # lam sends the values of block j to the range after block j-1, so that
-    # the relabeled word is a plain composition of standardized pieces
-    lam = [0] * k
-    next_value = 1
-    for block in blocks:
-        for v in block:
-            lam[v - 1] = next_value
-            next_value += 1
-    lam_inv = perm_inverse(lam)
-
-    zeta = zeta_parity(entries, k, lam_inv)
-    koszul = koszul_parity(lam_inv, [x.degree for x in cochains])
-    permuted = [cochains[lam_inv[a] - 1] for a in range(k)]
-    relabeled = tuple(lam[v - 1] for v in entries)
-
-    value = _theta_ordered(relabeled, permuted, ring)
-    return -value if (zeta + koszul) % 2 else value
-
-
-def _theta_ordered(entries: tuple[int, ...], cochains: list, ring: FiniteRing) -> HochschildCochain:
-    """Action of a word whose segment (or gap) value sets are consecutive."""
-    spans = _maximal_segments(entries)
-    if len(spans) > 1:
-        parity = 0
-        moved = 0
-        out = None
-        for lo, hi in spans:
-            word, values = _standardize(entries[lo : hi + 1])
-            block = [cochains[v - 1] for v in values]
-            deg_word = (hi - lo + 1) - len(values)
-            parity += deg_word * moved
-            moved += sum(x.degree for x in block)
-            piece = _theta_basis(word, block, ring)
-            out = piece if out is None else cup(out, piece)
-        return -out if parity % 2 else out
-
-    outer = entries[0]
-    slots = [pos for pos, v in enumerate(entries) if v == outer]
-    gaps = [entries[a + 1 : b] for a, b in zip(slots, slots[1:])]
-    parity = 0
-    moved = cochains[0].degree
-    inner = [cochains[0]]
-    for gap in gaps:
-        word, values = _standardize(gap)
-        block = [cochains[v - 1] for v in values]
-        deg_word = len(gap) - len(values)
-        parity += deg_word * moved
-        moved += sum(x.degree for x in block)
-        inner.append(_theta_basis(word, block, ring))
-    value = brace_word_action(len(gaps), inner, ring)
-    return -value if parity % 2 else value
-
-
-def brace_word_action(num_slots: int, cochains: list, ring: FiniteRing) -> HochschildCochain:
-    """The partition sum for the interleaved word 1 2 1 3 1 ... 1 (l+1) 1.
-
-    This is the one place the explicit sum over overlapping partitions is
-    evaluated: piece sizes over the occurrences of 1 must total
-    degree(x_1) + 1 and the j-th interleaved value gets a piece of size
-    degree(x_{j+1}) + 1; each admissible partition contributes its blowup
-    word evaluated by the cup/substitution recursion, signed by the
-    coaction parity plus (m - k) * sum(degrees) plus the repeated-value
-    pair count of the word.
-    """
-    entries = []
-    for j in range(num_slots):
-        entries.extend((1, j + 2))
-    entries.append(1)
-    entries = tuple(entries)
-    m = len(entries)
-    arity = num_slots + 1
-    degrees = [x.degree for x in cochains]
-    out_degree = sum(degrees) - (m - arity)
-    acc = HochschildCochain(ring, out_degree, {})
-    if out_degree < 0:
-        return acc
-    fibers = [tuple(j + 1 for j, u in enumerate(entries) if u == i) for i in range(1, arity + 1)]
-    base_parity = ((m - arity) * sum(degrees) + _equal_value_pair_parity(entries, arity)) % 2
-    ground_size = out_degree + 1
-    for sizes in partition_size_compositions(ground_size, m):
-        if any(
-            sum(sizes[j - 1] for j in fiber) != degrees[i] + 1
-            for i, fiber in enumerate(fibers)
-        ):
-            continue
-        word = []
-        for j, size in enumerate(sizes):
-            word.extend([entries[j]] * size)
-        parity = (epsilon_parity(entries, sizes) + base_parity) % 2
-        term = _eval_word(tuple(word), cochains, ring)
-        acc = acc + (-1 if parity else 1) * term
-    return acc
-

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 
 import pytest
@@ -11,6 +13,58 @@ EDGE = json.dumps({"dim": 1, "values": [{"simplex": [0, 1], "coeff": 1}]})
 
 
 THETA_X = json.dumps({"degree": 1, "values": [{"args": [1], "value": [0, 1]}]})
+
+# Z[x]/(x^3) on the basis (1, x, x^2)
+TRUNCATED_CUBIC = json.dumps(
+    {
+        "rank": 3,
+        "names": ["1", "x", "x2"],
+        "table": [[[int(l == i + j) for l in range(3)] for j in range(3)] for i in range(3)],
+    }
+)
+
+
+def theta_cochain(rank, degree, shift):
+    """A full Hochschild cochain table with small values fixed by the arguments."""
+    values = [
+        {"args": list(args), "value": [(shift + 3 * sum(args) + 2 * l) % 5 - 2 for l in range(rank)]}
+        for args in itertools.product(range(1, rank), repeat=degree)
+    ]
+    return json.dumps({"degree": degree, "values": values})
+
+
+THETA_WORDS = {
+    "1,2,1": (2, 1),
+    "2,1": (1, 1),
+    "1,2,1,3": (1, 1, 1),
+    "1,2,1,3,1": (3, 1, 0),
+    "1,2,3,2,1": (3, 1, 0),
+}
+
+# sha256 of each call's hochschild-theta stdout, pinned so that any change of
+# output bytes fails here and not only in the benchmark
+THETA_GOLDEN = {
+    ("dual-numbers", "1,2,1"): "6e52da16e3bd7ef07cccdd33c44487fbb2b46fdd1f82d55d033b20583a910443",
+    ("dual-numbers", "2,1"): "7ac016b0be2c57b262dafe37b59f6ecb2aa06684e8e89b245e38711d52695339",
+    ("dual-numbers", "1,2,1,3"): "183d191b251d62ba46c353a2c0198656fa2d33a4e2628339bcc4fd813688c86f",
+    ("dual-numbers", "1,2,1,3,1"): "64fb7a312c426253e0f234999d2f46214f8bd66bb541e5259fe3f652f8af9d0c",
+    ("dual-numbers", "1,2,3,2,1"): "64fb7a312c426253e0f234999d2f46214f8bd66bb541e5259fe3f652f8af9d0c",
+    ("upper-triangular", "1,2,1"): "9034b44abc6591ce981d075da2e80b3db41a6e89640cf9303b7969401fd81412",
+    ("upper-triangular", "2,1"): "f96aedea217ac633e01d7af71799ce509d1ff5a1b69f9b3247e5e6bc3cd396a8",
+    ("upper-triangular", "1,2,1,3"): "016dd6d8b7249eeeb7875be7a6198af479915e3f172d8b8d28e2cd8218a416ca",
+    ("upper-triangular", "1,2,1,3,1"): "f0d2a8c12f51888572c0c8c43548113d00061e6354eefb3b118f0380b4a3a468",
+    ("upper-triangular", "1,2,3,2,1"): "91d639ed0e14aedc3d6be4e33a638b41e973a7e024cf74b558901c02cc441821",
+    ("truncated-cubic", "1,2,1"): "9034b44abc6591ce981d075da2e80b3db41a6e89640cf9303b7969401fd81412",
+    ("truncated-cubic", "2,1"): "59b97f9323ef42bef7965f7ae03db111968d45183645c343c3cc5e48f48b327b",
+    ("truncated-cubic", "1,2,1,3"): "0fd5ea8de8af2288a33a8c34a3d8b47275034590fd5181e7be08252d8d5b3c1c",
+    ("truncated-cubic", "1,2,1,3,1"): "f0d2a8c12f51888572c0c8c43548113d00061e6354eefb3b118f0380b4a3a468",
+    ("truncated-cubic", "1,2,3,2,1"): "91d639ed0e14aedc3d6be4e33a638b41e973a7e024cf74b558901c02cc441821",
+}
+THETA_RINGS = {
+    "dual-numbers": ("dual-numbers", 2),
+    "upper-triangular": ("upper-triangular", 3),
+    "truncated-cubic": (TRUNCATED_CUBIC, 3),
+}
 
 
 def run(capsys, *argv):
@@ -105,6 +159,17 @@ class TestVerbs:
         assert data["degree"] == 2
         assert data["values"] == []  # x * x = 0 in the dual numbers
 
+    @pytest.mark.parametrize("ring,seq", sorted(THETA_GOLDEN), ids=lambda v: v.replace(",", ""))
+    def test_hochschild_theta_golden_bytes(self, capsys, ring, seq):
+        ring_text, rank = THETA_RINGS[ring]
+        argv = ["hochschild-theta", "--ring", ring_text, "--seq", seq]
+        for shift, degree in enumerate(THETA_WORDS[seq]):
+            argv += ["--cochain", theta_cochain(rank, degree, shift)]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["values"]
+        assert hashlib.sha256(out.encode()).hexdigest() == THETA_GOLDEN[ring, seq]
+
     def test_berger_subcomplex(self, capsys):
         poset = json.dumps({"k": 2, "b": [{"pair": [1, 2], "val": 1}], "order": [2, 1]})
         data = run_json(capsys, "berger-subcomplex", "--poset", poset, "--max-degree", "3")
@@ -165,6 +230,9 @@ class TestContract:
             ("dual-numbers", '{"degree": 1, "values": [{"args": [1], "value": 5}]}'),
             ("dual-numbers", '{"degree": 1, "values": [{"args": [1], "value": [0, 1, 7]}]}'),
             ("dual-numbers", '{"degree": 1, "values": [{"args": [1], "value": [5]}]}'),
+            ("dual-numbers", '{"degree": 1, "values": [{"args": [1, 1], "value": [0, 1]}]}'),
+            ("dual-numbers", '{"degree": 1, "values": [{"args": [5], "value": [0, 1]}]}'),
+            ("dual-numbers", '{"degree": 1, "values": [{"args": [0], "value": [0, 1]}]}'),
             ("[1]", THETA_X),
             ('{"table": [[[1]]]}', THETA_X),
             ('{"rank": 1}', THETA_X),
@@ -180,6 +248,9 @@ class TestContract:
             "value-not-list",
             "value-too-long",
             "value-too-short",
+            "args-wrong-length",
+            "args-index-above-rank",
+            "args-index-0",
             "ring-not-object",
             "ring-without-rank",
             "ring-without-table",
@@ -197,8 +268,11 @@ class TestContract:
             {"k": 2, "b": []},
             {"k": 2, "b": [{"pair": [1, 1], "val": 1}], "order": [1, 2]},
             {"k": 4, "b": [{"pair": [1, 5], "val": 1}], "order": [1, 2, 3, 4]},
+            {"k": 2, "b": [{"pair": [1, 2], "val": -1}], "order": [1, 2]},
+            {"k": 2, "b": [], "order": [1, 1]},
+            {"k": 3, "b": [], "order": [1, 2]},
         ],
-        ids=["without-k", "without-b", "without-order", "pair-1-1", "pair-1-5"],
+        ids=["without-k", "without-b", "without-order", "pair-1-1", "pair-1-5", "negative-val", "order-repeats", "order-short"],
     )
     def test_malformed_poset_exits_2(self, capsys, poset):
         argv = ["berger-subcomplex", "--max-degree", "2", "--poset", json.dumps(poset)]
@@ -210,8 +284,18 @@ class TestContract:
             ["cup", "--complex", "[[0, 1, 2]]", "--x", EDGE, "--y", EDGE],
             ["steenrod", "--complex", '{"vertices": 3}', "--x", EDGE, "--i", "0"],
             ["coaction", "--simplex", "0,1", "--seq", "1,2", "--complex", '"0,1"'],
+            ["cup", "--complex", '{"vertices": 2, "simplices": [[1, 0]]}', "--x", EDGE, "--y", EDGE],
+            ["steenrod", "--complex", '{"vertices": 2, "simplices": [[0, 0, 1]]}', "--x", EDGE, "--i", "0"],
+            ["coaction", "--simplex", "0,1", "--seq", "1,2", "--complex", '{"vertices": 2, "simplices": [[1, 0]]}'],
         ],
-        ids=["cup-complex-not-object", "steenrod-complex-without-simplices", "coaction-complex-not-object"],
+        ids=[
+            "cup-complex-not-object",
+            "steenrod-complex-without-simplices",
+            "coaction-complex-not-object",
+            "cup-simplex-descending",
+            "steenrod-simplex-repeated-vertex",
+            "coaction-simplex-descending",
+        ],
     )
     def test_malformed_complex_exits_2(self, capsys, argv):
         assert_exits_2_with_one_line(capsys, argv)
