@@ -84,9 +84,12 @@ def _complex_from_json(data) -> simplicial.SimplicialComplex:
     simplices = data.get("simplices")
     if not isinstance(simplices, list) or not all(_is_int_list(s) for s in simplices):
         raise InputError('a complex needs "simplices", a list of integer lists')
+    n = data["vertices"]
     for simplex in simplices:
         if simplex != sorted(set(simplex)):
             raise InputError(f"simplex {simplex} must be strictly ascending")
+        if not all(0 <= v < n for v in simplex):
+            raise InputError(f"simplex {simplex} has a vertex outside 0..{n - 1}")
     return simplicial.SimplicialComplex.from_json(data)
 
 
@@ -100,7 +103,10 @@ def _cochain_from_json(complex, data) -> simplicial.Cochain:
     for item in values:
         if not isinstance(item, dict) or not isinstance(item.get("simplex"), list) or not _is_int(item.get("coeff")):
             raise InputError(f'cochain value {item!r} needs a list "simplex" and an integer "coeff"')
-        coeffs[tuple(item["simplex"])] = item["coeff"]
+        key = tuple(item["simplex"])
+        if key in coeffs:
+            raise InputError(f"cochain has two values on simplex {item['simplex']}")
+        coeffs[key] = item["coeff"]
     return simplicial.Cochain(complex, data["dim"], coeffs)
 
 
@@ -124,8 +130,8 @@ def _theta_cochains(ring_text: str, cochain_texts: list[str]) -> list:
     cochains = []
     for text in cochain_texts:
         data = _parse_json(text)
-        if not isinstance(data, dict) or not _is_int(data.get("degree")):
-            raise InputError('a Hochschild cochain needs an integer "degree"')
+        if not isinstance(data, dict) or not _is_int(data.get("degree")) or data["degree"] < 0:
+            raise InputError('a Hochschild cochain needs a nonnegative integer "degree"')
         values = data.get("values", [])
         if not isinstance(values, list):
             raise InputError('Hochschild cochain "values" must be a list')
@@ -137,7 +143,10 @@ def _theta_cochains(ring_text: str, cochain_texts: list[str]) -> list:
                 raise InputError(f'Hochschild cochain value {item["value"]} must have length {ring.rank}')
             if len(item["args"]) != data["degree"] or not all(1 <= t < ring.rank for t in item["args"]):
                 raise InputError(f'Hochschild cochain args {item["args"]} must be {data["degree"]} indices in 1..{ring.rank - 1}')
-            table[tuple(item["args"])] = tuple(item["value"])
+            key = tuple(item["args"])
+            if key in table:
+                raise InputError(f'Hochschild cochain has two values on args {item["args"]}')
+            table[key] = tuple(item["value"])
         cochains.append(hochschild.HochschildCochain(ring, data["degree"], table))
     return cochains
 
@@ -150,12 +159,16 @@ def _poset_from_json(data) -> berger.PosetElement:
     k = data["k"]
     if sorted(data["order"]) != list(range(1, k + 1)):
         raise InputError(f'poset "order" {data["order"]} is not a permutation of 1..{k}')
+    seen = set()
     for item in data["b"]:
         if not isinstance(item, dict) or not _is_int(item.get("val")) or item["val"] < 0:
             raise InputError(f'poset weight {item!r} needs a "pair" and a nonnegative integer "val"')
         pair = item.get("pair")
         if not _is_int_list(pair) or len(pair) != 2 or pair[0] == pair[1] or not all(1 <= v <= k for v in pair):
             raise InputError(f"poset pair {pair!r} is not a 2-subset of 1..{k}")
+        if frozenset(pair) in seen:
+            raise InputError(f"poset pair {pair!r} has two weights")
+        seen.add(frozenset(pair))
     return berger.PosetElement.from_json(data)
 
 

@@ -5,9 +5,11 @@ This module is the pure combinatorial substrate of the package.  A
 ``{1..k}`` hitting every value, read as a map ``{1..m} -> {1..k}``; it is
 *nondegenerate* when no two adjacent entries are equal.  Words are stored
 1-indexed.  An overlapping partition of an ordered set (the vertices of a
-simplex, or a fiber of a word) is handled as its tuple of piece sizes; the
-coaction, the Hochschild brace sum and operad composition all sum over the
-tuples of :func:`partition_size_compositions`, signed by
+simplex, or a fiber of a word) is handled as its tuple of piece sizes.
+:func:`fiber_covers` is the one enumerator of these partitions: it yields
+each size tuple with the pieces covering each element, and operad
+composition, the cochain coaction (``simplicial``) and the Hochschild
+action (``hochschild.theta``) all read their sums from it, signed by
 :func:`epsilon_parity`.
 
 All sign computations are exposed both as parities (``*_parity``, integers
@@ -308,6 +310,33 @@ def partition_size_compositions(ground_size: int, num_pieces: int):
         yield tuple(b - a + 1 for a, b in zip(cuts, cuts[1:]))
 
 
+def fiber_covers(word: Sequence[int], ground_size: int, offset: int = 0):
+    """Yield ``(sizes, covers)`` for each overlapping partition of an ordered
+    set of ``ground_size`` elements into ``len(word)`` pieces.
+
+    Piece j carries the entry ``word[j] + offset``.  ``sizes`` runs over
+    :func:`partition_size_compositions` in its order, and ``covers[t]``
+    lists the entries of the pieces covering element t, in piece order.
+    Piece order and element order agree, so the concatenation of the
+    covers is the word with entry j repeated ``sizes[j]`` times.  This is
+    the only code that knows where the pieces lie.  An empty word covers
+    nothing, so it yields no partition.
+
+    >>> list(fiber_covers((1, 2), 2, offset=3))
+    [((1, 2), [[4, 5], [5]]), ((2, 1), [[4], [4, 5]])]
+    """
+    if not word:
+        return
+    for sizes in partition_size_compositions(ground_size, len(word)):
+        covers = [[] for _ in range(ground_size)]
+        start = 0
+        for u, size in zip(word, sizes):
+            for t in range(start, start + size):
+                covers[t].append(offset + u)
+            start += size - 1
+        yield sizes, covers
+
+
 # ---------------------------------------------------------------------------
 # Sign rules
 # ---------------------------------------------------------------------------
@@ -405,7 +434,7 @@ def composition_terms(outer: Surjection, inner: Sequence[Surjection]):
     partition of the fiber over i into as many pieces as ``inner[i - 1]``
     has entries, given by its piece sizes; the choices run over the
     product of the values in order, each in the order of
-    :func:`partition_size_compositions`.  The composite word reads the
+    :func:`fiber_covers`.  The composite word reads the
     outer positions left to right and, at each, the pieces covering it in
     order, each contributing its inner entry shifted past the arities of
     the inner words before it.  The parity is that of the composition sign:
@@ -414,8 +443,8 @@ def composition_terms(outer: Surjection, inner: Sequence[Surjection]):
     piece sizes.
 
     Composites may be degenerate; the caller discards them.  Nothing is
-    yielded when an inner word is empty, since that slot's nonempty fiber
-    cannot be covered: a zero composite, not an error.
+    yielded when an inner word is empty, since :func:`fiber_covers` finds no
+    cover of that slot's nonempty fiber: a zero composite, not an error.
 
     >>> list(composition_terms(Surjection(2, (1, 2)), [Surjection(2, (1, 2)), Surjection(1, (1,))]))
     [(0, (1, 2, 3))]
@@ -423,8 +452,6 @@ def composition_terms(outer: Surjection, inner: Sequence[Surjection]):
     k = outer.arity
     if len(inner) != k:
         raise ValueError("need one inner word per value of the outer word")
-    if any(not g.entries for g in inner):
-        return
     fiber_sizes = [outer.entries.count(i) for i in range(1, k + 1)]
     later_norms = sum(fiber_sizes) - k
     base = 0
@@ -433,7 +460,9 @@ def composition_terms(outer: Surjection, inner: Sequence[Surjection]):
     for g, size in zip(inner, fiber_sizes):
         later_norms -= size - 1
         base += g.degree * later_norms
-        per_value.append(_fiber_covers(g.entries, size, offset))
+        per_value.append(
+            [(epsilon_parity(g.entries, sizes), covers) for sizes, covers in fiber_covers(g.entries, size, offset)]
+        )
         offset += g.arity
     # each outer position as (value index, rank within its fiber)
     slots = []
@@ -449,19 +478,3 @@ def composition_terms(outer: Surjection, inner: Sequence[Surjection]):
         for i, t in slots:
             entries.extend(choice[i][1][t])
         yield parity % 2, tuple(entries)
-
-
-def _fiber_covers(word: tuple[int, ...], fiber_size: int, offset: int):
-    """For each partition of a fiber into ``len(word)`` pieces, its coaction
-    parity and, per fiber element, the shifted entries of the pieces
-    covering that element, in piece order."""
-    out = []
-    for sizes in partition_size_compositions(fiber_size, len(word)):
-        covers = [[] for _ in range(fiber_size)]
-        start = 0
-        for u, size in zip(word, sizes):
-            for t in range(start, start + size):
-                covers[t].append(offset + u)
-            start += size - 1
-        out.append((epsilon_parity(word, sizes), covers))
-    return out

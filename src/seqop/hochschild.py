@@ -6,13 +6,14 @@ is the unit.  A normalized cochain then vanishes whenever an argument is
 basis element 0, so tables are stored on tuples of nonzero indices only,
 making normalization a storage invariant.  Values are coordinate vectors.
 
-The word action theta is one sum over overlapping partitions, the same
-size tuples and coaction sign that drive the cochain coaction and operad
-composition: each admissible tuple blows the word up, the blown-up word
-is evaluated through the recursive cup/substitution evaluator, and the
-only extra sign is the closed form d * sum(deg x_i) + C(d + 1, 2) for a
-word of degree d.  Together with the cup product and braces this is
-everything the complexity-two suboperad does to Hochschild cochains.
+The word action theta is one sum over the overlapping partitions of
+:func:`seqop.combinatorics.fiber_covers`, the enumerator and coaction sign
+that drive the cochain coaction and operad composition: each admissible
+partition blows the word up, the blown-up word is evaluated through the
+recursive cup/substitution evaluator, and the only extra sign is the
+closed form d * sum(deg x_i) + C(d + 1, 2) for a word of degree d.
+Together with the cup product and braces this is everything the
+complexity-two suboperad does to Hochschild cochains.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .combinatorics import Surjection, complexity, epsilon_parity, partition_size_compositions
+from .combinatorics import Surjection, complexity, epsilon_parity, fiber_covers
 from .operad import OperadElement
 
 
@@ -380,9 +381,9 @@ def theta(e: OperadElement | Surjection, cochains: Sequence[HochschildCochain]) 
     One sum over overlapping partitions, the sum behind the cochain
     coaction and operad composition.  Take a word f of arity k with m
     entries, degree d = m - k and output degree N = sum(deg x_i) - d.  Each
-    size tuple of ``partition_size_compositions(N + 1, m)`` whose sizes over
-    the fiber of each value i total deg x_i + 1 contributes its blown-up
-    word (entry j repeated sizes[j] times), evaluated by the
+    partition of ``fiber_covers(f, N + 1)`` contributes its blown-up word
+    (entry j repeated sizes[j] times: the concatenated covers) when each
+    value i occurs deg x_i + 1 times in it, evaluated by the
     cup/substitution recursion, with sign
     (-1)^(epsilon + d * sum(deg x_i) + d(d+1)/2), where epsilon is the
     coaction parity of f against the sizes.
@@ -414,11 +415,10 @@ def theta(e: OperadElement | Surjection, cochains: Sequence[HochschildCochain]) 
         return result
     base = d * sum(degrees) + d * (d + 1) // 2
     for f, coeff in e.items():
-        fibers = [f.fiber(i) for i in range(1, f.arity + 1)]
-        for sizes in partition_size_compositions(out_degree + 1, len(f.entries)):
-            if any(sum(sizes[j - 1] for j in fiber) != p + 1 for fiber, p in zip(fibers, degrees)):
+        for sizes, covers in fiber_covers(f.entries, out_degree + 1):
+            word = tuple(itertools.chain.from_iterable(covers))
+            if any(word.count(i) != p + 1 for i, p in enumerate(degrees, start=1)):
                 continue
-            word = tuple(u for u, size in zip(f.entries, sizes) for _ in range(size))
             sign = -coeff if (epsilon_parity(f.entries, sizes) + base) % 2 else coeff
             result = result + sign * _eval_word(word, cochains, ring)
     return result

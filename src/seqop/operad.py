@@ -15,6 +15,7 @@ deterministic and independent of evaluation order.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Mapping, Sequence
 
 from .combinatorics import (
@@ -208,7 +209,7 @@ def compose(e: OperadElement, inner: Sequence[OperadElement]) -> OperadElement:
     pairs = []
     inner_items = [list(g._terms.items()) for g in inner]
     for f, cf in e._terms.items():
-        for combo in _product(inner_items):
+        for combo in itertools.product(*inner_items):
             coeff = cf
             for _, c in combo:
                 coeff *= c
@@ -218,16 +219,6 @@ def compose(e: OperadElement, inner: Sequence[OperadElement]) -> OperadElement:
                     continue
                 pairs.append((-coeff if parity else coeff, h))
     return _collect(out_arity, out_degree, pairs)
-
-
-def _product(term_lists):
-    if not term_lists:
-        yield ()
-        return
-    head, *rest = term_lists
-    for item in head:
-        for tail in _product(rest):
-            yield (item,) + tail
 
 
 def partial_compose(e: OperadElement, position: int, g: OperadElement) -> OperadElement:

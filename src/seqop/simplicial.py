@@ -7,7 +7,11 @@ coaction.  The coboundary carries the sign convention
     d(x) = -(-1)^{|x|} x o boundary
 
 so the cup product realized by the word (1, 2) differs from the classical
-front-face/back-face product by (-1)^{|x||y|}.
+front-face/back-face product by (-1)^{|x||y|}.  Only :func:`coboundary`
+applies that sign; the mod-2 rows read d from face indices alone.  The
+coaction sums over the partitions of the vertices that
+:func:`seqop.combinatorics.fiber_covers` enumerates for composition and
+the Hochschild action too.
 
 Evaluation on standard simplices is also an oracle for the operad layer:
 :func:`oracle_equal` decides equality of operad elements that way, and
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .combinatorics import Surjection, epsilon_parity, partition_size_compositions
+from .combinatorics import Surjection, epsilon_parity, fiber_covers
 from .operad import OperadElement
 
 
@@ -226,35 +230,18 @@ def coboundary(x: Cochain) -> Cochain:
 def _coaction_skeleton(p: int, entries: tuple[int, ...], arity: int):
     """Signed index tensors of the coaction of a word on a standard p-simplex.
 
-    Returns tuples (parity, factors) where each factor is the ascending
-    index tuple collecting the pieces of one value; partitions whose
-    collected pieces repeat an index are degenerate and already dropped.
+    Returns tuples (parity, factors), one per partition of :func:`fiber_covers`
+    in its order, where factor i - 1 is the ascending tuple of indices
+    covered by the pieces of value i.  A partition that covers an index
+    twice with one value repeats a vertex in that factor: it is degenerate
+    and dropped.
     """
-    m = len(entries)
     out = []
-    if m == 0:
-        return tuple(out)
-    fibers = [[j for j in range(m) if entries[j] == i] for i in range(1, arity + 1)]
-    for sizes in partition_size_compositions(p + 1, m):
-        # piece j covers indices [start_j, start_j + sizes_j - 1]
-        starts = [0]
-        for s in sizes[:-1]:
-            starts.append(starts[-1] + s - 1)
-        factors = []
-        good = True
-        for fiber in fibers:
-            block = []
-            for j in fiber:
-                block.extend(range(starts[j], starts[j] + sizes[j]))
-            for a, b in zip(block, block[1:]):
-                if b <= a:
-                    good = False
-                    break
-            if not good:
-                break
-            factors.append(tuple(block))
-        if good:
-            out.append((epsilon_parity(entries, sizes), tuple(factors)))
+    for sizes, covers in fiber_covers(entries, p + 1):
+        if any(len(set(c)) != len(c) for c in covers):
+            continue
+        factors = tuple(tuple(t for t, c in enumerate(covers) if i in c) for i in range(1, arity + 1))
+        out.append((epsilon_parity(entries, sizes), factors))
     return tuple(out)
 
 
@@ -390,26 +377,6 @@ def oracle_equal(e1: OperadElement, e2: OperadElement, p_max: int | None = None)
 # ---------------------------------------------------------------------------
 
 
-def coboundary_matrix(complex: SimplicialComplex, p: int) -> tuple[list, list, list]:
-    """Rows of d from degree p to p+1 over the face bases.
-
-    Returns (p_faces, p1_faces, rows) with rows[i] the integer row of the
-    i-th (p+1)-face against the p-face basis.
-    """
-    p_faces = complex.faces(p)
-    p1_faces = complex.faces(p + 1)
-    index = {s: c for c, s in enumerate(p_faces)}
-    front = -1 if p % 2 == 0 else 1
-    rows = []
-    for simp in p1_faces:
-        row = [0] * len(p_faces)
-        for i in range(len(simp)):
-            face = simp[:i] + simp[i + 1 :]
-            row[index[face]] += front * (-1 if i % 2 else 1)
-        rows.append(row)
-    return p_faces, p1_faces, rows
-
-
 class _GF2Basis:
     """A reduced echelon basis of bit vectors, one distinct pivot per row."""
 
@@ -451,22 +418,35 @@ class _GF2Basis:
         return out
 
 
+def _coboundary_bits(complex: SimplicialComplex, p: int) -> list[int]:
+    """Rows of the mod-2 coboundary from degree p, one per (p+1)-face.
+
+    Mod 2 every sign of d vanishes, so the row of a (p+1)-face is the set of
+    its p-faces, as bits over the p-face basis.
+    """
+    index = {s: c for c, s in enumerate(complex.faces(p))}
+    return [
+        sum(1 << index[simp[:i] + simp[i + 1 :]] for i in range(len(simp)))
+        for simp in complex.faces(p + 1)
+    ]
+
+
 def _image_bits(complex: SimplicialComplex, p: int) -> list[int]:
     """Columns of the mod-2 coboundary from degree p, over the (p+1)-face bits."""
-    lower, upper, rows = coboundary_matrix(complex, p)
-    return [
-        sum((rows[r][c] % 2) << r for r in range(len(upper)))
-        for c in range(len(lower))
-    ]
+    cols = [0] * len(complex.faces(p))
+    for r, row in enumerate(_coboundary_bits(complex, p)):
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << r
+            row ^= low
+    return cols
 
 
 def mod2_cohomology_basis(complex: SimplicialComplex, p: int) -> list[Cochain]:
     """Representative cocycles spanning H^p with mod-2 coefficients."""
-    p_faces, _, rows_up = coboundary_matrix(complex, p)
+    p_faces = complex.faces(p)
     n = len(p_faces)
-    constraints = _GF2Basis(
-        sum((row[c] % 2) << c for c in range(n)) for row in rows_up
-    )
+    constraints = _GF2Basis(_coboundary_bits(complex, p))
     image = _GF2Basis(_image_bits(complex, p - 1) if p > 0 else ())
     out = []
     for vec in constraints.kernel_basis(n):

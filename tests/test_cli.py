@@ -211,8 +211,9 @@ class TestContract:
             ["cup", "--complex", DELTA2, "--x", EDGE.replace('"coeff": 1', '"coeff": 1.5'), "--y", EDGE],
             ["coaction", "--simplex", "0,1,2", "--seq", "0,2"],
             ["coaction", "--simplex", "0,1,2", "--seq", "1,1"],
+            ["cup", "--complex", DELTA2, "--x", EDGE.replace("}]", '}, {"simplex": [0, 1], "coeff": 2}]'), "--y", EDGE],
         ],
-        ids=["cochain-without-dim", "fractional-coeff", "coaction-entry-0", "coaction-degenerate"],
+        ids=["cochain-without-dim", "fractional-coeff", "coaction-entry-0", "coaction-degenerate", "cochain-simplex-repeated"],
     )
     def test_malformed_exits_2_with_one_line(self, capsys, argv):
         assert_exits_2_with_one_line(capsys, argv)
@@ -233,6 +234,8 @@ class TestContract:
             ("dual-numbers", '{"degree": 1, "values": [{"args": [1, 1], "value": [0, 1]}]}'),
             ("dual-numbers", '{"degree": 1, "values": [{"args": [5], "value": [0, 1]}]}'),
             ("dual-numbers", '{"degree": 1, "values": [{"args": [0], "value": [0, 1]}]}'),
+            ("dual-numbers", '{"degree": 1, "values": [{"args": [1], "value": [0, 1]}, {"args": [1], "value": [1, 0]}]}'),
+            ("dual-numbers", '{"degree": -1, "values": []}'),
             ("[1]", THETA_X),
             ('{"table": [[[1]]]}', THETA_X),
             ('{"rank": 1}', THETA_X),
@@ -251,6 +254,8 @@ class TestContract:
             "args-wrong-length",
             "args-index-above-rank",
             "args-index-0",
+            "args-repeated",
+            "negative-degree",
             "ring-not-object",
             "ring-without-rank",
             "ring-without-table",
@@ -271,8 +276,19 @@ class TestContract:
             {"k": 2, "b": [{"pair": [1, 2], "val": -1}], "order": [1, 2]},
             {"k": 2, "b": [], "order": [1, 1]},
             {"k": 3, "b": [], "order": [1, 2]},
+            {"k": 2, "b": [{"pair": [1, 2], "val": 1}, {"pair": [2, 1], "val": 2}], "order": [1, 2]},
         ],
-        ids=["without-k", "without-b", "without-order", "pair-1-1", "pair-1-5", "negative-val", "order-repeats", "order-short"],
+        ids=[
+            "without-k",
+            "without-b",
+            "without-order",
+            "pair-1-1",
+            "pair-1-5",
+            "negative-val",
+            "order-repeats",
+            "order-short",
+            "pair-repeated",
+        ],
     )
     def test_malformed_poset_exits_2(self, capsys, poset):
         argv = ["berger-subcomplex", "--max-degree", "2", "--poset", json.dumps(poset)]
@@ -287,6 +303,18 @@ class TestContract:
             ["cup", "--complex", '{"vertices": 2, "simplices": [[1, 0]]}', "--x", EDGE, "--y", EDGE],
             ["steenrod", "--complex", '{"vertices": 2, "simplices": [[0, 0, 1]]}', "--x", EDGE, "--i", "0"],
             ["coaction", "--simplex", "0,1", "--seq", "1,2", "--complex", '{"vertices": 2, "simplices": [[1, 0]]}'],
+            [
+                "cup",
+                "--complex", '{"vertices": 2, "simplices": [[0, 5]]}',
+                "--x", '{"dim": 1, "values": [{"simplex": [0, 5], "coeff": 1}]}',
+                "--y", '{"dim": 0, "values": [{"simplex": [5], "coeff": 1}]}',
+            ],
+            [
+                "cup",
+                "--complex", '{"vertices": 2, "simplices": [[-1, 0]]}',
+                "--x", '{"dim": 1, "values": [{"simplex": [-1, 0], "coeff": 1}]}',
+                "--y", '{"dim": 0, "values": [{"simplex": [0], "coeff": 1}]}',
+            ],
         ],
         ids=[
             "cup-complex-not-object",
@@ -295,6 +323,8 @@ class TestContract:
             "cup-simplex-descending",
             "steenrod-simplex-repeated-vertex",
             "coaction-simplex-descending",
+            "cup-vertex-above-range",
+            "cup-vertex-negative",
         ],
     )
     def test_malformed_complex_exits_2(self, capsys, argv):

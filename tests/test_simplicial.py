@@ -4,7 +4,7 @@ from operator import attrgetter
 
 import pytest
 
-from seqop.combinatorics import enumerate_basis
+from seqop.combinatorics import enumerate_basis, epsilon_parity, partition_size_compositions
 from seqop.operad import (
     OperadElement,
     act,
@@ -20,6 +20,7 @@ from seqop.simplicial import (
     NotACocycleError,
     SimplicialComplex,
     TensorChain,
+    _coaction_skeleton,
     boundary,
     coaction,
     coboundary,
@@ -39,6 +40,30 @@ from seqop.simplicial import (
 DIM = attrgetter("dim")
 D3 = standard_simplex(3)
 D4 = standard_simplex(4)
+
+
+def reference_skeleton(p, entries, arity):
+    """The coaction skeleton from explicit piece starts and index blocks: piece
+    j covers [start_j, start_j + sizes_j - 1], and a value's block of covered
+    indices must be strictly ascending."""
+    m = len(entries)
+    if m == 0:
+        return ()
+    fibers = [[j for j in range(m) if entries[j] == i] for i in range(1, arity + 1)]
+    out = []
+    for sizes in partition_size_compositions(p + 1, m):
+        starts = [0]
+        for s in sizes[:-1]:
+            starts.append(starts[-1] + s - 1)
+        factors = []
+        for fiber in fibers:
+            block = [t for j in fiber for t in range(starts[j], starts[j] + sizes[j])]
+            if any(b <= a for a, b in zip(block, block[1:])):
+                break
+            factors.append(tuple(block))
+        else:
+            out.append((epsilon_parity(entries, sizes), tuple(factors)))
+    return tuple(out)
 
 
 def dense(complex, dim, rng):
@@ -108,6 +133,14 @@ class TestCoaction:
         # every term for an adjacent-equal word repeats a vertex
         t = coaction(D3, (0, 1, 2), (1, 1, 2))
         assert t.is_zero()
+
+    def test_skeleton_matches_block_reference(self):
+        # every word over 1..arity, degenerate and non-surjective ones included
+        for arity in (1, 2, 3):
+            for m in range(6):
+                for entries in itertools.product(range(1, arity + 1), repeat=m):
+                    for p in range(6):
+                        assert _coaction_skeleton(p, entries, arity) == reference_skeleton(p, entries, arity), (p, entries)
 
 
 class TestEvaluate:
