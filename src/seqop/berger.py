@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import operad
-from .combinatorics import Surjection, enumerate_basis, perm_inverse, restrict
+from .combinatorics import Surjection, enumerate_basis, pair_runs, perm_inverse
 from .homology import GradedComplex, complex_from_word_basis
 from .operad import OperadElement
 
@@ -143,26 +143,26 @@ def invariant_of(f: Surjection) -> PosetElement:
     """The invariant (b_f, T_f) of a word: per pair {i, j}, one less than
     the complexity of the restriction to that pair (the run count minus
     two), and the values ordered by first occurrence."""
-    weights = []
-    for i, j in _pair_index(f.arity):
-        sub = restrict(f.entries, sorted(f.fiber(i) + f.fiber(j)))
-        runs = 1 + sum(1 for a, b in zip(sub, sub[1:]) if a != b)
-        weights.append(runs - 2)
-    order = sorted(range(1, f.arity + 1), key=lambda i: f.fiber(i)[0])
-    return PosetElement(f.arity, tuple(weights), tuple(order))
+    weights = tuple(runs - 2 for runs in pair_runs(f.entries, f.arity))
+    order = sorted(range(1, f.arity + 1), key=f.entries.index)
+    return PosetElement(f.arity, weights, tuple(order))
 
 
 def subcomplex_basis(bt: PosetElement, max_degree: int) -> GradedComplex:
     """The subcomplex of words whose invariant lies below (b, T).
 
-    Closure under the differential is validated while assembling; a
-    boundary term escaping the basis raises a ChainComplexError.
+    The enumeration is cut at b_ij + 2 runs on each pair, the weight bound
+    of ``leq``; ``leq`` itself then only decides the order clause on pairs
+    at their bound.  Closure under the differential is validated while
+    assembling; a boundary term escaping the basis raises a
+    ChainComplexError.
     """
+    caps = [w + 2 for w in bt.weights]
     bases = {}
     for d in range(max_degree + 1):
         bases[d] = [
             f
-            for f in enumerate_basis(bt.k, d)
+            for f in enumerate_basis(bt.k, d, run_caps=caps)
             if leq(invariant_of(f), bt)
         ]
     return complex_from_word_basis(bases)

@@ -151,6 +151,15 @@ def _theta_cochains(ring_text: str, cochain_texts: list[str]) -> list:
     return cochains
 
 
+def _nonnegative(args, *names) -> None:
+    """Reject a negative size option: the library would return an empty or
+    coerced result for some of them, so the boundary refuses them all."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            raise InputError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+
+
 def _poset_from_json(data) -> berger.PosetElement:
     if not isinstance(data, dict) or not _is_int(data.get("k")):
         raise InputError('a poset element needs an integer "k"')
@@ -178,6 +187,7 @@ def _poset_from_json(data) -> berger.PosetElement:
 
 
 def _cmd_basis(args) -> None:
+    _nonnegative(args, "arity", "degree", "max_complexity")
     words = enumerate_basis(args.arity, args.degree, args.max_complexity)
     _emit(
         {
@@ -216,6 +226,7 @@ def _cmd_complexity(args) -> None:
 
 
 def _cmd_homology(args) -> None:
+    _nonnegative(args, "arity", "max_degree", "max_complexity")
     complex = homology.build_word_complex(args.arity, args.max_degree, args.max_complexity)
     groups = homology.homology(complex)
     _emit(
@@ -267,6 +278,7 @@ def _cmd_hochschild_theta(args) -> None:
 
 
 def _cmd_berger_subcomplex(args) -> None:
+    _nonnegative(args, "max_degree")
     bt = _poset_from_json(_parse_json(args.poset))
     complex = berger.subcomplex_basis(bt, args.max_degree)
     groups = homology.homology(complex)

@@ -203,12 +203,39 @@ def boundary_terms(entries: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
+def pair_runs(entries: Sequence[int], arity: int) -> list[int]:
+    """Run counts of a word on every two-element value set.
+
+    One count per pair i < j of {1..arity}, in lexicographic pair order:
+    the number of maximal constant runs of the subword of entries equal to
+    i or j.  One pass, by the last-position rule: an entry v starts a run
+    on the pair {v, w} unless v already occurs after the last w.  The
+    word may be degenerate or miss values; its entries lie in {1..arity}.
+
+    >>> pair_runs((1, 2, 3, 1, 2), 3)
+    [4, 3, 3]
+    """
+    last = [-1] * (arity + 1)
+    # started[v][w]: runs on {v, w} begun by v
+    started = [[0] * (arity + 1) for _ in range(arity + 1)]
+    values = range(1, arity + 1)
+    for p, v in enumerate(entries):
+        lv = last[v]
+        row = started[v]
+        for w in values:
+            if last[w] >= lv and w != v:
+                row[w] += 1
+        last[v] = p
+    return [started[i][j] + started[j][i] for i, j in itertools.combinations(values, 2)]
+
+
 def complexity(entries: Sequence[int], arity: int) -> int:
     """Alternation complexity of a word with entries in {1..arity}.
 
     0 when the codomain has at most one element; for two values, the
     number of maximal constant runs minus 1; in general the maximum over
-    all two-element value sets of the complexity of the restriction.
+    all two-element value sets of the complexity of the restriction, read
+    from :func:`pair_runs`.
 
     >>> complexity((1, 2), 2)
     1
@@ -219,67 +246,108 @@ def complexity(entries: Sequence[int], arity: int) -> int:
     """
     if arity <= 1 or not entries:
         return 0
-    best = 0
-    for i, i2 in itertools.combinations(range(1, arity + 1), 2):
-        runs = 0
-        prev = 0
-        for u in entries:
-            if u == i or u == i2:
-                if u != prev:
-                    runs += 1
-                prev = u
-        if runs - 1 > best:
-            best = runs - 1
-    return best
+    return max(pair_runs(entries, arity)) - 1
 
 
-def enumerate_basis(arity: int, degree: int, max_complexity: int | None = None) -> list[Surjection]:
+def enumerate_basis(
+    arity: int, degree: int, max_complexity: int | None = None, *, run_caps: Sequence[int] | None = None
+) -> list[Surjection]:
     """All nondegenerate surjections of the given arity and degree.
 
     Deterministic lexicographic order on the underlying words.  With
-    ``max_complexity`` set, keeps only words of complexity <= that bound.
+    ``max_complexity`` n set, keeps only words of complexity <= n, that is
+    with at most n + 1 runs on every value pair.  ``run_caps`` instead caps
+    the runs pair by pair, one cap per pair in the order of
+    :func:`pair_runs`.  Either cut prunes the enumeration itself.
 
     >>> enumerate_basis(2, 0)
     [<12>, <21>]
     >>> enumerate_basis(2, 1, max_complexity=2)
     [<121>, <212>]
+    >>> enumerate_basis(3, 1, run_caps=(3, 2, 2))
+    [<1213>, <2123>, <3121>, <3212>]
     """
     if arity < 0 or degree < 0:
         raise ValueError("arity and degree must be nonnegative")
-    out = []
-    for w in _nondegenerate_words(arity, arity + degree):
-        if max_complexity is not None and complexity(w, arity) > max_complexity:
-            continue
-        out.append(Surjection._trusted(arity, w))
-    return out
+    npairs = arity * (arity - 1) // 2
+    if max_complexity is not None:
+        if run_caps is not None:
+            raise ValueError("give max_complexity or run_caps, not both")
+        if max_complexity < 0:
+            return []  # every word has complexity >= 0
+        run_caps = [max_complexity + 1] * npairs
+    if run_caps is not None and len(run_caps) != npairs:
+        raise ValueError(f"need one run cap per 2-subset of 1..{arity}")
+    return _nondegenerate_words(arity, arity + degree, run_caps)
 
 
-def _nondegenerate_words(arity: int, length: int):
-    """Yield surjective adjacent-distinct words in lexicographic order."""
+def _nondegenerate_words(arity: int, length: int, run_caps: Sequence[int] | None = None) -> list[Surjection]:
+    """The basis words of one arity and length, in lexicographic order.
+
+    A depth-first walk over prefixes.  With ``run_caps`` it carries the run
+    count of every value pair (the rule of :func:`pair_runs`) and drops a
+    prefix as soon as a pair goes over its cap, which is sound because a
+    prefix's run count on a pair never falls as the word grows.  Without
+    caps no run is counted.
+    """
+    trusted = Surjection._trusted
     if arity == 0:
-        if length == 0:
-            yield ()
-        return
-    if length < arity:
-        return
-
+        return [trusted(0, ())] if length == 0 else []
+    out = []
     word = [0] * length
+    values = range(1, arity + 1)
 
-    def rec(pos: int, used: int):
-        missing = arity - bin(used).count("1")
+    def rec(pos: int, used: int, missing: int):
         if missing > length - pos:
             return
         if pos == length:
-            yield tuple(word)
+            out.append(trusted(arity, tuple(word)))
             return
         prev = word[pos - 1] if pos else 0
-        for v in range(1, arity + 1):
+        for v in values:
+            if v != prev:
+                word[pos] = v
+                bit = 1 << v
+                rec(pos + 1, used | bit, missing - (not used & bit))
+
+    if run_caps is None:
+        rec(0, 0, arity)
+        return out
+
+    # room[p]: runs still allowed on pair p; others[v]: (w, p) for w != v
+    room = list(run_caps)
+    pair_of = {pair: p for p, pair in enumerate(itertools.combinations(values, 2))}
+    others = [[]] + [[(w, pair_of[min(v, w), max(v, w)]) for w in values if w != v] for v in values]
+    last = [-1] * (arity + 1)
+
+    def rec_capped(pos: int, missing: int, spare: int):
+        # every later entry takes a run: a new value one on each of its
+        # arity - 1 pairs, any other value at least one on the pair it
+        # shares with its left neighbour
+        if missing > length - pos or spare < length - pos + missing * (arity - 2):
+            return
+        if pos == length:
+            out.append(trusted(arity, tuple(word)))
+            return
+        prev = word[pos - 1] if pos else 0
+        for v in values:
             if v == prev:
                 continue
+            lv = last[v]
+            bumped = [p for w, p in others[v] if last[w] >= lv]
+            if 0 in map(room.__getitem__, bumped):  # a pair is at its cap
+                continue
+            for p in bumped:
+                room[p] -= 1
             word[pos] = v
-            yield from rec(pos + 1, used | (1 << v))
+            last[v] = pos
+            rec_capped(pos + 1, missing - (lv < 0), spare - len(bumped))
+            last[v] = lv
+            for p in bumped:
+                room[p] += 1
 
-    yield from rec(0, 0)
+    rec_capped(0, arity, sum(room))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -312,9 +312,10 @@ class GradedComplex:
 def homology(complex: GradedComplex, max_degree: int | None = None) -> dict[int, HomologyGroup]:
     """Homology groups of a graded complex, degree by degree.
 
-    Checks d o d = 0 first (raising ChainComplexError otherwise).  At the top stored degree the incoming differential is unknown, so the
-    group there is only an upper bound for the kernel and is flagged
-    incomplete rather than silently reported.
+    Checks d o d = 0 first (raising ChainComplexError otherwise).  At the
+    top stored degree the incoming differential is unknown, so the group
+    there is only an upper bound for the kernel and is flagged incomplete
+    rather than silently reported.
     """
     complex.validate()
     top = complex.max_degree

@@ -45,3 +45,15 @@ def test_a1_fails_without_raising_on_a_term_outside_the_table(monkeypatch):
     result = acceptance.criterion_a1()
     assert not result.passed
     assert "is not a basis word" in result.detail
+
+
+def test_a10_catches_a_wrong_stage(monkeypatch):
+    real = acceptance.enumerate_basis
+
+    def one_stage_up(arity, degree, max_complexity=None):
+        return real(arity, degree, max_complexity + 1)
+
+    monkeypatch.setattr(acceptance, "enumerate_basis", one_stage_up)
+    result = acceptance.criterion_a10()
+    assert not result.passed
+    assert result.detail == "arity 3 stage 2 Betti [1, 0, 3, 0, 2, 0], want [1, 3, 2]"

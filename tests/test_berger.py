@@ -13,7 +13,7 @@ from seqop.berger import (
     poset_compose,
     subcomplex_basis,
 )
-from seqop.combinatorics import Surjection, enumerate_basis
+from seqop.combinatorics import Surjection, enumerate_basis, restrict
 from seqop.homology import ChainComplexError, homology
 from seqop.operad import OperadElement, benson_homotopy, differential
 
@@ -133,6 +133,22 @@ class TestSubcomplexes:
             groups = homology(subcomplex_basis(bt, 5), 4)
             assert groups[0].rank == 1 and not groups[0].torsion
             assert all(groups[q].rank == 0 and not groups[q].torsion for q in range(1, 5))
+
+    def test_matches_brute_force_filter(self):
+        # every word, then the invariant read from each pair's restriction
+        def reference_invariant(f):
+            weights = []
+            for i, j in itertools.combinations(range(1, f.arity + 1), 2):
+                sub = restrict(f.entries, sorted(f.fiber(i) + f.fiber(j)))
+                weights.append(sum(1 for a, b in zip((0,) + sub, sub) if a != b) - 2)
+            order = sorted(range(1, f.arity + 1), key=lambda i: f.fiber(i)[0])
+            return PosetElement(f.arity, tuple(weights), tuple(order))
+
+        for bt in enumerate_poset(2, 3) + enumerate_poset(3, 2) + enumerate_poset(3, 3)[::5]:
+            C = subcomplex_basis(bt, 4)
+            for d in range(5):
+                want = [f.entries for f in enumerate_basis(bt.k, d) if leq(reference_invariant(f), bt)]
+                assert [f.entries for f in C.bases[d]] == want, (bt, d)
 
 
 class TestConjugatedContraction:

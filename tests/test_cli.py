@@ -330,6 +330,30 @@ class TestContract:
     def test_malformed_complex_exits_2(self, capsys, argv):
         assert_exits_2_with_one_line(capsys, argv)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["basis", "--arity", "-1", "--degree", "0"],
+            ["basis", "--arity", "2", "--degree", "-1"],
+            ["basis", "--arity", "2", "--degree", "1", "--max-complexity", "-1"],
+            ["homology", "--arity", "-1", "--max-degree", "2"],
+            ["homology", "--arity", "2", "--max-degree", "-1"],
+            ["homology", "--arity", "2", "--max-degree", "2", "--max-complexity", "-1"],
+            ["berger-subcomplex", "--max-degree", "-1", "--poset", '{"k": 2, "b": [{"pair": [1, 2], "val": 1}], "order": [2, 1]}'],
+        ],
+        ids=[
+            "basis-arity",
+            "basis-degree",
+            "basis-max-complexity",
+            "homology-arity",
+            "homology-max-degree",
+            "homology-max-complexity",
+            "berger-max-degree",
+        ],
+    )
+    def test_negative_size_exits_2(self, capsys, argv):
+        assert_exits_2_with_one_line(capsys, argv)
+
     def test_verify_single_criterion(self, capsys):
         code = main(["verify", "--criteria", "A5"])
         out = capsys.readouterr().out

@@ -18,6 +18,7 @@ from seqop.combinatorics import (
     epsilon_parity,
     epsilon_sign,
     koszul_parity,
+    pair_runs,
     partition_size_compositions,
     perm_compose,
     perm_inverse,
@@ -153,6 +154,59 @@ class TestEnumerateBasis:
         entries = [f.entries for f in basis]
         assert entries == sorted(entries)
         assert all(a != b for f in basis for a, b in zip(f.entries, f.entries[1:]))
+
+
+# The per-pair restriction count and the enumerate-then-filter stage cut that
+# pair_runs and the pruned enumeration replaced, kept as the reference they
+# must agree with.
+def reference_pair_runs(entries, k):
+    out = []
+    for i, j in itertools.combinations(range(1, k + 1), 2):
+        sub = restrict(entries, [p + 1 for p, u in enumerate(entries) if u in (i, j)])
+        out.append(sum(1 for a, b in zip((0,) + sub, sub) if a != b))
+    return out
+
+
+def reference_complexity(entries, k):
+    return max((runs - 1 for runs in reference_pair_runs(entries, k)), default=0) if entries else 0
+
+
+class TestPairRuns:
+    @settings(max_examples=300)
+    @given(st.integers(1, 5).flatmap(lambda k: st.tuples(st.lists(st.integers(1, k), max_size=9), st.just(k))))
+    def test_matches_restriction_count(self, wk):
+        # any sequence: degenerate, non-surjective or empty words included
+        entries, k = tuple(wk[0]), wk[1]
+        assert pair_runs(entries, k) == reference_pair_runs(entries, k)
+        assert complexity(entries, k) == reference_complexity(entries, k)
+
+
+class TestPrunedEnumeration:
+    @pytest.mark.parametrize("k", range(6))
+    def test_matches_enumerate_then_filter(self, k):
+        for d in range(5 if k < 5 else 3):
+            full = enumerate_basis(k, d)
+            stages = [reference_complexity(f.entries, k) for f in full]
+            for n in range(5):
+                want = [f.entries for f, c in zip(full, stages) if c <= n]
+                assert [f.entries for f in enumerate_basis(k, d, max_complexity=n)] == want, (k, d, n)
+
+    def test_per_pair_caps_match_filter(self):
+        for caps in itertools.product((1, 2, 3, 4), repeat=3):
+            for d in range(4):
+                want = [f.entries for f in enumerate_basis(3, d) if all(r <= c for r, c in zip(pair_runs(f.entries, 3), caps))]
+                assert [f.entries for f in enumerate_basis(3, d, run_caps=caps)] == want
+
+    def test_negative_stage_is_empty(self):
+        # every word has complexity >= 0, even in arities without pairs
+        for k in (0, 1, 2, 3):
+            assert enumerate_basis(k, 0, -1) == []
+
+    def test_bad_caps_raise(self):
+        with pytest.raises(ValueError):
+            enumerate_basis(3, 1, run_caps=(2, 2))
+        with pytest.raises(ValueError):
+            enumerate_basis(2, 1, 2, run_caps=(3,))
 
 
 # The object-based enumeration that partition_size_compositions and
