@@ -5,12 +5,14 @@ the largest entry.  Structured inputs are inline JSON or ``@path`` to a
 JSON file.  Output is key-sorted JSON with no timestamps, so identical
 invocations produce identical bytes.  Exit codes: 0 success, 1 for a
 domain error (mismatched arities, non-cocycles, broken complexes), 2 for
-malformed input.
+malformed input, usage errors included.  :func:`main` may be called many
+times in one process; the parser is built on the first call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -22,6 +24,13 @@ from .operad import OperadElement
 
 class InputError(ValueError):
     """Malformed command-line input (exit code 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as :class:`InputError`, not argparse's usage block and exit."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
 
 
 def _parse_seq(text: str) -> tuple[int, ...]:
@@ -62,8 +71,7 @@ def _element(seq: tuple[int, ...], arity: int | None) -> OperadElement:
 
 
 def _emit(payload) -> None:
-    json.dump(payload, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _homology_json(groups) -> dict:
@@ -302,8 +310,10 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The ``seqop`` parser, built on the first call and shared by every later one."""
+    parser = _Parser(
         prog="seqop",
         description="Exact computations with sequence operations on cochains.",
     )
@@ -382,9 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         out = args.func(args)
         return out if isinstance(out, int) else 0
     except (InputError, InvalidEntryError) as exc:

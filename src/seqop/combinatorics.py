@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class InvalidEntryError(ValueError):
@@ -174,15 +174,6 @@ def tau(entries: Sequence[int]) -> tuple[int, ...]:
     for rank, j in enumerate(sorted(range(len(entries)), key=entries.__getitem__), start=1):
         out[j] = rank
     return tuple(out)
-
-
-def restrict(entries: Sequence[int], positions: Iterable[int]) -> tuple[int, ...]:
-    """The subword at the given 1-indexed positions, in increasing order.
-
-    The result is re-read as a map from {1..|S|}; it may be degenerate or
-    non-surjective, and the caller revalidates.
-    """
-    return tuple(entries[j - 1] for j in sorted(positions))
 
 
 def boundary_terms(entries: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:

@@ -330,34 +330,12 @@ def _maximal_segments(word: tuple[int, ...]) -> list[tuple[int, int]]:
     return out
 
 
-def eval_word(word: Sequence[int], cochains: Sequence[HochschildCochain], ring: FiniteRing | None = None) -> HochschildCochain:
-    """The recursive cup/substitution evaluation of a word on cochains.
-
-    The word must have complexity <= 2 and, for each value i it uses,
-    exactly degree(x_i) + 1 occurrences.  Empty word: the identity
-    cochain.  One maximal segment: substitution of the gap evaluations
-    into the endpoint cochain.  Several: their cup product in order.
-    """
-    word = tuple(word)
-    if ring is None:
-        if not cochains:
-            raise ValueError("need a ring when no cochains are given")
-        ring = cochains[0].ring
-    arity = max(word, default=0)
-    if arity > len(cochains):
-        raise ValueError(f"word uses value {arity} but only {len(cochains)} cochains given")
-    if complexity(word, arity) > 2:
-        raise ValueError(f"{word} has complexity > 2")
-    for i in range(1, arity + 1):
-        count = sum(1 for u in word if u == i)
-        if count and count != cochains[i - 1].degree + 1:
-            raise ValueError(
-                f"value {i} occurs {count} times but cochain degree is {cochains[i - 1].degree}"
-            )
-    return _eval_word(word, cochains, ring)
-
-
 def _eval_word(word: tuple[int, ...], cochains, ring) -> HochschildCochain:
+    """The cup/substitution evaluation of a complexity <= 2 word whose value i
+    occurs degree(x_i) + 1 times.  Empty word: the identity cochain.  One
+    maximal segment: the gap evaluations substituted into the endpoint
+    cochain.  Several: their cup product in order.
+    """
     if not word:
         return identity_cochain(ring)
     if len(word) == 1:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .combinatorics import Surjection, boundary_terms, enumerate_basis
 
@@ -30,15 +29,6 @@ class SparseIntMatrix:
         self.rows = rows
         self.cols = cols
         self.data: dict[int, dict[int, int]] = {}
-
-    @classmethod
-    def from_dense(cls, dense: Sequence[Sequence[int]]) -> "SparseIntMatrix":
-        m = cls(len(dense), len(dense[0]) if dense else 0)
-        for r, row in enumerate(dense):
-            for c, v in enumerate(row):
-                if v:
-                    m.set(r, c, v)
-        return m
 
     def set(self, r: int, c: int, v: int):
         if not 0 <= r < self.rows or not 0 <= c < self.cols:

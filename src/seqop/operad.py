@@ -221,15 +221,6 @@ def compose(e: OperadElement, inner: Sequence[OperadElement]) -> OperadElement:
     return _collect(out_arity, out_degree, pairs)
 
 
-def partial_compose(e: OperadElement, position: int, g: OperadElement) -> OperadElement:
-    """Compose ``g`` into one slot, units elsewhere."""
-    if not 1 <= position <= e.arity:
-        raise ArityMismatchError(f"position {position} outside 1..{e.arity}")
-    inner = [OperadElement.unit() for _ in range(e.arity)]
-    inner[position - 1] = g
-    return compose(e, inner)
-
-
 def benson_homotopy(e: OperadElement) -> OperadElement:
     """The contraction: prepend a 1 to every word (degenerate results die).
 
@@ -286,11 +277,6 @@ def retract(e: OperadElement) -> OperadElement:
 def complexity_bound(e: OperadElement) -> int:
     """Largest complexity among the words of ``e`` (0 for the zero element)."""
     return max((complexity(f.entries, f.arity) for f in e._terms), default=0)
-
-
-def in_complexity_suboperad(e: OperadElement, n: int) -> bool:
-    """Whether every word of ``e`` has complexity <= n."""
-    return complexity_bound(e) <= n
 
 
 # ---------------------------------------------------------------------------

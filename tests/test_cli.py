@@ -67,6 +67,39 @@ THETA_RINGS = {
 }
 
 
+RP2 = json.dumps(simplicial.projective_plane().to_json())
+RP2_X = json.dumps(simplicial.mod2_cohomology_basis(simplicial.projective_plane(), 1)[0].to_json())
+POSET_21 = json.dumps({"k": 2, "b": [{"pair": [1, 2], "val": 1}], "order": [2, 1]})
+
+# sha256 of the stdout of one call per output shape, pinned like THETA_GOLDEN
+CLI_GOLDEN = {
+    "diff": (
+        ["diff", "--seq", "1,2,3,1,2"],
+        "28565d95c168ffe5c5d5999cf402d148d973b273c05ba21b946a470617b2ec94",
+    ),
+    "coaction": (
+        ["coaction", "--simplex", "0,1,2,3", "--seq", "1,2,1,3"],
+        "b663c486e158221faccd319b118c7afe2b3b53fc703690a8ecd3813584687735",
+    ),
+    "cup": (
+        ["cup", "--complex", RP2, "--x", RP2_X, "--y", RP2_X, "--i", "1"],
+        "3507d52bd1c1d42b6a0737d6c63dafe3bc6e9d481228df0667f939d50dcd8d62",
+    ),
+    "steenrod": (
+        ["steenrod", "--complex", RP2, "--x", RP2_X, "--i", "1"],
+        "3aadd676d816f5d11923f27837e4b4560128bca7f508f00c6262204a3bf099b5",
+    ),
+    "homology": (
+        ["homology", "--arity", "3", "--max-degree", "3"],
+        "b1061e26088764d80d3a600d06634437826442a73106fe1c8807909206f0edd8",
+    ),
+    "berger-subcomplex": (
+        ["berger-subcomplex", "--poset", POSET_21, "--max-degree", "3"],
+        "2b4259620a05060522be3dfa7c9420dc6737161f3ffecf27fd35558fa58e80ff",
+    ),
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -136,13 +169,9 @@ class TestVerbs:
         ]
 
     def test_cup_and_steenrod(self, capsys):
-        rp2 = json.dumps(simplicial.projective_plane().to_json())
-        x = json.dumps(
-            simplicial.mod2_cohomology_basis(simplicial.projective_plane(), 1)[0].to_json()
-        )
-        data = run_json(capsys, "cup", "--complex", rp2, "--x", x, "--y", x, "--i", "1")
+        data = run_json(capsys, "cup", "--complex", RP2, "--x", RP2_X, "--y", RP2_X, "--i", "1")
         assert data["dim"] == 1
-        data = run_json(capsys, "steenrod", "--complex", rp2, "--x", x, "--i", "1")
+        data = run_json(capsys, "steenrod", "--complex", RP2, "--x", RP2_X, "--i", "1")
         assert data["dim"] == 2
         assert data["values"]  # nonzero cocycle
 
@@ -170,9 +199,15 @@ class TestVerbs:
         assert json.loads(out)["values"]
         assert hashlib.sha256(out.encode()).hexdigest() == THETA_GOLDEN[ring, seq]
 
+    @pytest.mark.parametrize("verb", sorted(CLI_GOLDEN))
+    def test_golden_bytes(self, capsys, verb):
+        argv, digest = CLI_GOLDEN[verb]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_berger_subcomplex(self, capsys):
-        poset = json.dumps({"k": 2, "b": [{"pair": [1, 2], "val": 1}], "order": [2, 1]})
-        data = run_json(capsys, "berger-subcomplex", "--poset", poset, "--max-degree", "3")
+        data = run_json(capsys, "berger-subcomplex", "--poset", POSET_21, "--max-degree", "3")
         assert data["bases"]["0"] == [[1, 2], [2, 1]]
         assert data["bases"]["1"] == [[2, 1, 2]]
         assert data["homology"]["0"] == {"rank": 1, "torsion": []}
@@ -184,6 +219,26 @@ class TestContract:
         _, first = run(capsys, "homology", "--arity", "2", "--max-degree", "3")
         _, second = run(capsys, "homology", "--arity", "2", "--max-degree", "3")
         assert first == second
+
+    def test_parser_reuse_keeps_calls_independent(self, capsys):
+        # the parser is built once per process: append options, usage errors
+        # and domain errors must not leak from one call into the next
+        calls = [
+            ["compose", "--outer", "1,2", "--inner", "1,2", "--inner", "1"],
+            ["hochschild-theta", "--ring", "dual-numbers", "--seq", "1,2,1", "--cochain", THETA_X, "--cochain", THETA_X],
+            ["diff", "--seq", "1,2", "--arity", "x"],
+            ["diff", "--seq", "1,2,3,1,2"],
+            ["diff", "--seq", "1,1,2"],
+            ["act", "--seq", "1,2,1,2", "--perm", "2,1"],
+            ["coaction", "--simplex", "0,1,2", "--seq", "1,2,1"],
+        ]
+        first = [run(capsys, *argv) for argv in calls]
+        assert [code for code, _ in first] == [0, 0, 2, 0, 2, 0, 0]
+        assert [run(capsys, *argv) for argv in calls] == first
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: seqop")
 
     def test_malformed_sequence_exits_2(self, capsys):
         code, _ = run(capsys, "diff", "--seq", "1,two")
@@ -199,9 +254,7 @@ class TestContract:
 
     def test_semantic_error_exits_1(self, capsys):
         # a non-cocycle fed to the Steenrod square is a domain error
-        rp2 = json.dumps(simplicial.projective_plane().to_json())
-        x = json.dumps({"dim": 1, "values": [{"simplex": [0, 1], "coeff": 1}]})
-        code, _ = run(capsys, "steenrod", "--complex", rp2, "--x", x, "--i", "1")
+        code, _ = run(capsys, "steenrod", "--complex", RP2, "--x", EDGE, "--i", "1")
         assert code == 1
 
     @pytest.mark.parametrize(
@@ -212,8 +265,24 @@ class TestContract:
             ["coaction", "--simplex", "0,1,2", "--seq", "0,2"],
             ["coaction", "--simplex", "0,1,2", "--seq", "1,1"],
             ["cup", "--complex", DELTA2, "--x", EDGE.replace("}]", '}, {"simplex": [0, 1], "coeff": 2}]'), "--y", EDGE],
+            ["diff"],
+            ["diff", "--seq", "1,2", "--arity", "x"],
+            ["bogus"],
+            [],
+            ["homology", "--arity", "2"],
         ],
-        ids=["cochain-without-dim", "fractional-coeff", "coaction-entry-0", "coaction-degenerate", "cochain-simplex-repeated"],
+        ids=[
+            "cochain-without-dim",
+            "fractional-coeff",
+            "coaction-entry-0",
+            "coaction-degenerate",
+            "cochain-simplex-repeated",
+            "missing-option",
+            "option-not-int",
+            "unknown-verb",
+            "no-verb",
+            "homology-without-max-degree",
+        ],
     )
     def test_malformed_exits_2_with_one_line(self, capsys, argv):
         assert_exits_2_with_one_line(capsys, argv)
@@ -339,7 +408,7 @@ class TestContract:
             ["homology", "--arity", "-1", "--max-degree", "2"],
             ["homology", "--arity", "2", "--max-degree", "-1"],
             ["homology", "--arity", "2", "--max-degree", "2", "--max-complexity", "-1"],
-            ["berger-subcomplex", "--max-degree", "-1", "--poset", '{"k": 2, "b": [{"pair": [1, 2], "val": 1}], "order": [2, 1]}'],
+            ["berger-subcomplex", "--max-degree", "-1", "--poset", POSET_21],
         ],
         ids=[
             "basis-arity",

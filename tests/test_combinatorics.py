@@ -22,12 +22,16 @@ from seqop.combinatorics import (
     partition_size_compositions,
     perm_compose,
     perm_inverse,
-    restrict,
     tau,
     validate,
     zeta_parity,
     zeta_sign,
 )
+
+
+def restrict(entries, positions):
+    """The subword at the given 1-indexed positions, in increasing order."""
+    return tuple(entries[j - 1] for j in sorted(positions))
 
 
 # a hypothesis strategy for small surjective words

@@ -24,7 +24,6 @@ from seqop.hochschild import (
     constant_cochain,
     cup,
     dual_numbers,
-    eval_word,
     group_ring_c2,
     hochschild_d,
     identity_cochain,
@@ -51,6 +50,26 @@ def random_cochain(ring, degree, rng):
         for key in itertools.product(range(1, ring.rank), repeat=degree)
     }
     return HochschildCochain(ring, degree, table)
+
+
+def eval_word(word, cochains, ring=None):
+    """``_eval_word`` behind the checks on its input: complexity <= 2 and
+    degree(x_i) + 1 occurrences of each value i the word uses."""
+    word = tuple(word)
+    if ring is None:
+        if not cochains:
+            raise ValueError("need a ring when no cochains are given")
+        ring = cochains[0].ring
+    arity = max(word, default=0)
+    if arity > len(cochains):
+        raise ValueError(f"word uses value {arity} but only {len(cochains)} cochains given")
+    if complexity(word, arity) > 2:
+        raise ValueError(f"{word} has complexity > 2")
+    for i in range(1, arity + 1):
+        count = sum(1 for u in word if u == i)
+        if count and count != cochains[i - 1].degree + 1:
+            raise ValueError(f"value {i} occurs {count} times but cochain degree is {cochains[i - 1].degree}")
+    return _eval_word(word, cochains, ring)
 
 
 class TestRing:

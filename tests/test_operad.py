@@ -13,15 +13,27 @@ from seqop.operad import (
     complexity_bound,
     compose,
     differential,
-    in_complexity_suboperad,
     iota,
-    partial_compose,
     retract,
 )
 
 
 def basis(*entries):
     return OperadElement.basis(tuple(entries))
+
+
+def partial_compose(e, position, g):
+    """Compose ``g`` into one slot, units elsewhere."""
+    if not 1 <= position <= e.arity:
+        raise ArityMismatchError(f"position {position} outside 1..{e.arity}")
+    inner = [OperadElement.unit() for _ in range(e.arity)]
+    inner[position - 1] = g
+    return compose(e, inner)
+
+
+def in_complexity_suboperad(e, n):
+    """Whether every word of ``e`` has complexity <= n."""
+    return complexity_bound(e) <= n
 
 
 def random_basis_element(rng, k, degree):
