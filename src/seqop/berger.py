@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import operad
-from .combinatorics import Surjection, enumerate_basis, pair_runs, perm_inverse
+from .combinatorics import InputError, Surjection, enumerate_basis, is_int, is_int_list, pair_runs, perm_inverse
 from .homology import GradedComplex, complex_from_word_basis
 from .operad import OperadElement
 
@@ -36,11 +36,11 @@ class PosetElement:
 
     def __post_init__(self):
         if len(self.weights) != len(_pair_index(self.k)):
-            raise ValueError(f"need one weight per 2-subset of 1..{self.k}")
+            raise InputError(f"need one weight per 2-subset of 1..{self.k}")
         if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
+            raise InputError(f"weights must be nonnegative, got {list(self.weights)}")
         if sorted(self.order) != list(range(1, self.k + 1)):
-            raise ValueError(f"order must list 1..{self.k}")
+            raise InputError(f"order {list(self.order)} is not a permutation of 1..{self.k}")
 
     def weight(self, i: int, j: int) -> int:
         if i == j:
@@ -66,14 +66,28 @@ class PosetElement:
         }
 
     @classmethod
-    def from_json(cls, data: Mapping) -> "PosetElement":
-        k = data["k"]
-        pairs = _pair_index(k)
+    def from_json(cls, data) -> "PosetElement":
+        """Parse ``{"k": k, "b": [{"pair": [i, j], "val": v}], "order": [...]}``;
+        InputError if malformed.  Pairs left out weigh 0."""
+        if not isinstance(data, dict) or not is_int(data.get("k")) or data["k"] < 0:
+            raise InputError('a poset element needs a nonnegative integer "k"')
+        k, b, order = data["k"], data.get("b"), data.get("order")
+        if not isinstance(b, list) or not is_int_list(order):
+            raise InputError('a poset element needs a list "b" and an integer-list "order"')
+        if len(order) != k:  # bounds k by the input's size before the weights are sized by it
+            raise InputError(f"order {order} is not a permutation of 1..{k}")
         vals = {}
-        for item in data["b"]:
-            i, j = sorted(item["pair"])
-            vals[(i, j)] = item["val"]
-        return cls(k, tuple(vals.get(p, 0) for p in pairs), tuple(data["order"]))
+        for item in b:
+            if not isinstance(item, dict) or not is_int(item.get("val")):
+                raise InputError(f'poset weight {item!r} needs a "pair" and an integer "val"')
+            pair = item.get("pair")
+            if not is_int_list(pair) or len(pair) != 2 or pair[0] == pair[1] or not all(1 <= v <= k for v in pair):
+                raise InputError(f"poset pair {pair!r} is not a 2-subset of 1..{k}")
+            key = tuple(sorted(pair))
+            if key in vals:
+                raise InputError(f"poset pair {pair!r} has two weights")
+            vals[key] = item["val"]
+        return cls(k, tuple(vals.get(p, 0) for p in _pair_index(k)), tuple(order))
 
 
 def leq(x: PosetElement, y: PosetElement) -> bool:

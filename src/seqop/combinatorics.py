@@ -25,8 +25,27 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
-class InvalidEntryError(ValueError):
+class InputError(ValueError):
+    """Malformed input: the type, sign, range or shape of one value is wrong.
+
+    The command line exits 2 on it.  A well-formed input that fails a
+    mathematical condition, or does not fit another input, raises a plain
+    ValueError instead (exit 1).
+    """
+
+
+class InvalidEntryError(InputError):
     """An input sequence has entries outside the allowed range {1..k}."""
+
+
+def is_int(value) -> bool:
+    """Whether a JSON value is an integer (``true`` and ``false`` are not)."""
+    return type(value) is int
+
+
+def is_int_list(value) -> bool:
+    """Whether a JSON value is a list of integers."""
+    return type(value) is list and all(type(v) is int for v in value)
 
 
 class _DegenerateMarker:

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .combinatorics import Surjection, complexity, epsilon_parity, fiber_covers
+from .combinatorics import InputError, Surjection, complexity, epsilon_parity, fiber_covers, is_int, is_int_list
 from .operad import OperadElement
 
 
@@ -44,11 +44,13 @@ class FiniteRing:
     table: tuple
 
     def __post_init__(self):
+        if self.rank < 1:
+            raise InputError(f"a ring needs rank >= 1, got {self.rank}")
         if len(self.names) != self.rank or len(self.table) != self.rank:
-            raise RingError("rank, names and table sizes disagree")
+            raise InputError("rank, names and table sizes disagree")
         for row in self.table:
             if len(row) != self.rank or any(len(v) != self.rank for v in row):
-                raise RingError("structure table must be rank x rank x rank")
+                raise InputError("structure table must be rank x rank x rank")
         unit = self.basis_vector(0)
         for i in range(self.rank):
             e = self.basis_vector(i)
@@ -101,12 +103,24 @@ class FiniteRing:
         }
 
     @classmethod
-    def from_json(cls, data: Mapping) -> "FiniteRing":
-        if list(data.get("unit", [])) not in ([], [1] + [0] * (data["rank"] - 1)):
-            raise RingError("the unit must be basis element 0")
-        names = tuple(data.get("names", [f"e{i}" for i in range(data["rank"])]))
-        table = tuple(tuple(tuple(v) for v in row) for row in data["table"])
-        return cls(data["rank"], names, table)
+    def from_json(cls, data) -> "FiniteRing":
+        """Parse ``{"rank": r, "names": [...], "unit": [1, 0, ...], "table": [...]}``.
+
+        A malformed value raises InputError; a table that is not a unital
+        associative ring with unit e_0 raises RingError.
+        """
+        if not isinstance(data, dict) or not is_int(data.get("rank")):
+            raise InputError('a ring needs an integer "rank"')
+        rank, table, unit = data["rank"], data.get("table"), data.get("unit")
+        if not isinstance(table, list) or not all(isinstance(row, list) and all(is_int_list(v) for v in row) for row in table):
+            raise InputError('a ring needs a "table" of rows of integer lists')
+        if unit is not None and not (is_int_list(unit) and len(unit) == rank and unit[:1] == [1] and not any(unit[1:])):
+            raise InputError(f'the ring "unit" must be basis element 0: 1 then zeros, {rank} entries in all')
+        # default names follow the table, so a huge "rank" costs nothing before the size check
+        names = data.get("names", [f"e{i}" for i in range(len(table))])
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise InputError('ring "names" must be a list of strings')
+        return cls(rank, tuple(names), tuple(tuple(tuple(v) for v in row) for row in table))
 
 
 def dual_numbers() -> FiniteRing:
@@ -154,9 +168,9 @@ class HochschildCochain:
         for key, value in (table or {}).items():
             value = tuple(value)
             if len(key) != degree:
-                raise ValueError(f"key {key} does not have degree {degree}")
+                raise InputError(f"key {key} does not have degree {degree}")
             if any(not 1 <= t < ring.rank for t in key):
-                raise ValueError(f"key {key} must use nonzero basis indices")
+                raise InputError(f"key {key} must use nonzero basis indices 1..{ring.rank - 1}")
             if any(value):
                 clean[tuple(key)] = value
         object.__setattr__(self, "ring", ring)
@@ -220,6 +234,27 @@ class HochschildCochain:
                 {"args": list(k), "value": list(v)} for k, v in sorted(self.table.items())
             ],
         }
+
+    @classmethod
+    def from_json(cls, ring: FiniteRing, data) -> "HochschildCochain":
+        """Parse ``{"degree": p, "values": [{"args": [...], "value": [...]}]}`` over ``ring``;
+        InputError if malformed."""
+        if not isinstance(data, dict) or not is_int(data.get("degree")) or data["degree"] < 0:
+            raise InputError('a Hochschild cochain needs a nonnegative integer "degree"')
+        values = data.get("values", [])
+        if not isinstance(values, list):
+            raise InputError('Hochschild cochain "values" must be a list')
+        table = {}
+        for item in values:
+            if not isinstance(item, dict) or not is_int_list(item.get("args")) or not is_int_list(item.get("value")):
+                raise InputError(f'Hochschild cochain value {item!r} needs integer lists "args" and "value"')
+            if len(item["value"]) != ring.rank:
+                raise InputError(f'Hochschild cochain value {item["value"]} must have length {ring.rank}')
+            key = tuple(item["args"])
+            if key in table:
+                raise InputError(f'Hochschild cochain has two values on args {item["args"]}')
+            table[key] = item["value"]
+        return cls(ring, data["degree"], table)
 
 
 def identity_cochain(ring: FiniteRing) -> HochschildCochain:

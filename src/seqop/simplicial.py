@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .combinatorics import Surjection, epsilon_parity, fiber_covers
+from .combinatorics import InputError, Surjection, epsilon_parity, fiber_covers, is_int, is_int_list
 from .operad import OperadElement
 
 
@@ -47,18 +47,22 @@ class SimplicialComplex:
 
     @classmethod
     def from_simplices(cls, simplices: Iterable[Sequence[int]], n_vertices: int | None = None) -> "SimplicialComplex":
-        """Build the downward closure of the given simplices."""
+        """Build the downward closure of the given simplices.
+
+        Each simplex must be a nonempty strictly ascending vertex list with
+        vertices in 0..n_vertices - 1; anything else raises InputError.
+        """
         closed = set()
-        top = 0
+        low = top = 0
         for simp in simplices:
-            simp = tuple(simp)
-            if list(simp) != sorted(set(simp)):
-                raise ValueError(f"simplex {simp} must be strictly ascending")
-            top = max(top, (simp[-1] + 1) if simp else 0)
+            simp = _ascending(simp)
+            low, top = min(low, simp[0]), max(top, simp[-1] + 1)
             for r in range(1, len(simp) + 1):
                 closed.update(itertools.combinations(simp, r))
         if n_vertices is None:
             n_vertices = top
+        if low < 0 or top > n_vertices:
+            raise InputError(f"every vertex must lie in 0..{n_vertices - 1}")
         return cls(n_vertices, frozenset(closed))
 
     def faces(self, dim: int) -> list:
@@ -78,8 +82,22 @@ class SimplicialComplex:
         }
 
     @classmethod
-    def from_json(cls, data: Mapping) -> "SimplicialComplex":
-        return cls.from_simplices(data["simplices"], n_vertices=data["vertices"])
+    def from_json(cls, data) -> "SimplicialComplex":
+        """Parse ``{"vertices": n, "simplices": [[...], ...]}``; InputError if malformed."""
+        if not isinstance(data, dict) or not is_int(data.get("vertices")) or data["vertices"] < 0:
+            raise InputError('a complex needs a nonnegative integer "vertices"')
+        simplices = data.get("simplices")
+        if not isinstance(simplices, list) or not all(is_int_list(s) for s in simplices):
+            raise InputError('a complex needs "simplices", a list of integer lists')
+        return cls.from_simplices(simplices, n_vertices=data["vertices"])
+
+
+def _ascending(simplex: Sequence[int]) -> tuple[int, ...]:
+    """The simplex as a tuple; InputError unless it is nonempty and strictly ascending."""
+    simplex = tuple(simplex)
+    if not simplex or list(simplex) != sorted(set(simplex)):
+        raise InputError(f"simplex {list(simplex)} must be a nonempty strictly ascending vertex list")
+    return simplex
 
 
 def standard_simplex(n: int) -> SimplicialComplex:
@@ -114,7 +132,9 @@ class _Valued:
 
     @staticmethod
     def _check_key(complex, dim, key):
-        if len(key) != dim + 1 or not complex.has(key):
+        if len(key) != dim + 1:
+            raise InputError(f"{key} is not a {dim}-simplex")
+        if key not in complex.simplices:
             raise ValueError(f"{key} is not a {dim}-simplex of the complex")
 
     def __setattr__(self, name, value):
@@ -171,6 +191,30 @@ class Cochain(_Valued):
             "dim": self.dim,
             "values": [{"simplex": list(k), "coeff": v} for k, v in sorted(self.coeffs.items())],
         }
+
+    @classmethod
+    def from_json(cls, complex: SimplicialComplex, data) -> "Cochain":
+        """Parse ``{"dim": p, "values": [{"simplex": [...], "coeff": c}]}`` on ``complex``.
+
+        A malformed value raises InputError; a well-formed simplex that the
+        complex lacks raises ValueError.
+        """
+        if not isinstance(data, dict) or not is_int(data.get("dim")) or data["dim"] < 0:
+            raise InputError('a cochain needs a nonnegative integer "dim"')
+        values = data.get("values", [])
+        if not isinstance(values, list):
+            raise InputError('cochain "values" must be a list')
+        coeffs = {}
+        for item in values:
+            if not isinstance(item, dict) or not is_int_list(item.get("simplex")) or not is_int(item.get("coeff")):
+                raise InputError(f'cochain value {item!r} needs an integer-list "simplex" and an integer "coeff"')
+            key = tuple(item["simplex"])
+            if key in coeffs:
+                raise InputError(f"cochain has two values on simplex {item['simplex']}")
+            if key not in complex.simplices:
+                _ascending(key)
+            coeffs[key] = item["coeff"]
+        return cls(complex, data["dim"], coeffs)
 
 
 class TensorChain(_Valued):
@@ -259,6 +303,7 @@ def coaction(complex: SimplicialComplex, simplex: Sequence[int], f) -> TensorCha
         arity = max(entries, default=0)
     simplex = tuple(simplex)
     if not complex.has(simplex):
+        _ascending(simplex)  # a malformed simplex is an input error, a missing one is not
         raise ValueError(f"{simplex} is not a simplex of the complex")
     acc: dict = {}
     for parity, factors in _coaction_skeleton(len(simplex) - 1, entries, arity):

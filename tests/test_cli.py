@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqop import simplicial
+from seqop import hochschild, simplicial
 from seqop.cli import main
 
 
@@ -67,9 +71,108 @@ THETA_RINGS = {
 }
 
 
+# well formed, but (x x) y = y y = 0 while x (x y) = x 1 = x
+NONASSOCIATIVE = json.dumps(
+    {
+        "rank": 3,
+        "table": [
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+            [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+        ],
+    }
+)
+RING_2 = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+
 RP2 = json.dumps(simplicial.projective_plane().to_json())
 RP2_X = json.dumps(simplicial.mod2_cohomology_basis(simplicial.projective_plane(), 1)[0].to_json())
 POSET_21 = json.dumps({"k": 2, "b": [{"pair": [1, 2], "val": 1}], "order": [2, 1]})
+
+# Small values for the boundary fuzz: integers stay in -1..3, so that arities
+# and degrees stay <= 3 and every call takes milliseconds.  Structured inputs
+# follow their schema, with any field or the whole value sometimes swapped for
+# arbitrary JSON, so that the draws reach past the first check.
+FUZZ_INT = st.integers(-1, 3)
+FUZZ_LIST = st.lists(FUZZ_INT, max_size=3)
+FUZZ_JUNK = st.recursive(
+    st.none() | st.booleans() | FUZZ_INT | st.just(1.5) | st.just("a"),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["k", "dim", "values"]), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+def mostly(good, other, one_in=10):
+    """Draws of ``good``, and about one time in ``one_in`` of ``other``.
+
+    Hypothesis favours the ends of an integer range, so the rare branch sits
+    inside it."""
+    return st.integers(1, one_in).flatmap(lambda i: other if i == 2 else good)
+
+
+def near(**fields):
+    """A JSON object of the given fields, each about one time in four swapped for arbitrary JSON."""
+    return st.fixed_dictionaries({key: mostly(value, FUZZ_JUNK, 4) for key, value in fields.items()})
+
+
+def fuzz_json(value, *valid):
+    """JSON text: mostly one of the ``valid`` texts or the JSON of ``value``,
+    now and then of arbitrary JSON or no JSON at all."""
+    text = value.map(json.dumps)
+    if valid:
+        text = mostly(st.sampled_from(valid), text)
+    return mostly(text, FUZZ_JUNK.map(json.dumps) | st.just("{not json"))
+
+
+FUZZ_SIZE = mostly(st.integers(0, 3), st.just(-1)).map(str)
+FUZZ_SEQ = mostly(
+    st.lists(st.integers(1, 3), max_size=5).map(lambda v: ",".join(map(str, v))),
+    st.sampled_from(["x", "1,,2", "-1", "0,1", ""]),
+)
+FUZZ_SIMPLEX = st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True).map(sorted)
+FUZZ_COMPLEX = fuzz_json(near(vertices=st.integers(0, 4), simplices=st.lists(FUZZ_SIMPLEX, max_size=3)), DELTA2, RP2)
+FUZZ_COCHAIN = fuzz_json(
+    near(dim=st.integers(0, 3), values=st.lists(near(simplex=FUZZ_SIMPLEX, coeff=FUZZ_INT), min_size=1, max_size=3))
+)
+FUZZ_RING = fuzz_json(
+    near(rank=FUZZ_INT, table=st.lists(st.lists(FUZZ_LIST, max_size=3), max_size=3)), *sorted(hochschild.SHIPPED_RINGS)
+)
+FUZZ_HOCHSCHILD = fuzz_json(
+    near(
+        degree=st.integers(0, 3),
+        values=st.lists(
+            near(args=st.lists(st.integers(1, 2), max_size=3), value=st.lists(FUZZ_INT, min_size=2, max_size=3)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+)
+FUZZ_POSET = fuzz_json(
+    near(
+        k=st.integers(0, 3),
+        b=st.lists(
+            near(pair=st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True), val=FUZZ_INT),
+            min_size=1,
+            max_size=3,
+        ),
+        order=st.integers(0, 3).flatmap(lambda k: st.permutations(range(1, k + 1))),
+    ),
+    POSET_21,
+)
+FUZZ_FLAGS = {
+    "basis": {"--arity": FUZZ_SIZE, "--degree": FUZZ_SIZE, "--max-complexity": FUZZ_SIZE},
+    "diff": {"--seq": FUZZ_SEQ, "--arity": FUZZ_SIZE},
+    "act": {"--seq": FUZZ_SEQ, "--perm": FUZZ_SEQ, "--arity": FUZZ_SIZE},
+    "compose": {"--outer": FUZZ_SEQ, "--outer-arity": FUZZ_SIZE, "--inner": FUZZ_SEQ},
+    "complexity": {"--seq": FUZZ_SEQ, "--arity": FUZZ_SIZE},
+    "homology": {"--arity": FUZZ_SIZE, "--max-degree": FUZZ_SIZE, "--max-complexity": FUZZ_SIZE},
+    "coaction": {"--simplex": FUZZ_SEQ, "--seq": FUZZ_SEQ, "--complex": FUZZ_COMPLEX},
+    "cup": {"--complex": FUZZ_COMPLEX, "--x": FUZZ_COCHAIN, "--y": FUZZ_COCHAIN, "--i": FUZZ_SIZE},
+    "steenrod": {"--complex": FUZZ_COMPLEX, "--x": FUZZ_COCHAIN, "--i": FUZZ_SIZE},
+    "hochschild-theta": {"--ring": FUZZ_RING, "--seq": FUZZ_SEQ, "--arity": FUZZ_SIZE, "--cochain": FUZZ_HOCHSCHILD},
+    "berger-subcomplex": {"--poset": FUZZ_POSET, "--max-degree": FUZZ_SIZE},
+}
+REPEATABLE = {"--inner", "--cochain"}
+
 
 # sha256 of the stdout of one call per output shape, pinned like THETA_GOLDEN
 CLI_GOLDEN = {
@@ -260,6 +363,22 @@ class TestContract:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["cup", "--complex", DELTA2, "--x", '{"dim": 1, "values": [{"simplex": [0, 7], "coeff": 1}]}', "--y", EDGE],
+            ["coaction", "--simplex", "0,1", "--seq", "1,2", "--complex", '{"vertices": 3, "simplices": [[0, 2]]}'],
+            ["hochschild-theta", "--ring", NONASSOCIATIVE, "--seq", "1", "--cochain", THETA_X],
+        ],
+        ids=["cochain-simplex-outside-complex", "coaction-simplex-outside-complex", "ring-nonassociative"],
+    )
+    def test_well_formed_mismatch_exits_1(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["cup", "--complex", DELTA2, "--x", '{"values": []}', "--y", EDGE],
             ["cup", "--complex", DELTA2, "--x", EDGE.replace('"coeff": 1', '"coeff": 1.5'), "--y", EDGE],
             ["coaction", "--simplex", "0,1,2", "--seq", "0,2"],
@@ -308,6 +427,12 @@ class TestContract:
             ("[1]", THETA_X),
             ('{"table": [[[1]]]}', THETA_X),
             ('{"rank": 1}', THETA_X),
+            ('{"rank": 0, "table": []}', THETA_X),
+            ('{"rank": -1, "table": []}', THETA_X),
+            (json.dumps({"rank": 2, "names": ["1"], "table": RING_2}), THETA_X),
+            (json.dumps({"rank": 3, "table": RING_2}), THETA_X),
+            (json.dumps({"rank": 2, "table": RING_2[:1]}), THETA_X),
+            (json.dumps({"rank": 2, "unit": [1, 0, 0], "table": RING_2}), THETA_X),
         ],
         ids=[
             "cochain-not-object",
@@ -328,6 +453,12 @@ class TestContract:
             "ring-not-object",
             "ring-without-rank",
             "ring-without-table",
+            "ring-rank-0",
+            "ring-rank-negative",
+            "ring-names-short",
+            "ring-rank-above-table",
+            "ring-table-short",
+            "ring-unit-long",
         ],
     )
     def test_malformed_theta_input_exits_2(self, capsys, ring, cochain):
@@ -346,6 +477,7 @@ class TestContract:
             {"k": 2, "b": [], "order": [1, 1]},
             {"k": 3, "b": [], "order": [1, 2]},
             {"k": 2, "b": [{"pair": [1, 2], "val": 1}, {"pair": [2, 1], "val": 2}], "order": [1, 2]},
+            {"k": -1, "b": [], "order": []},
         ],
         ids=[
             "without-k",
@@ -357,6 +489,7 @@ class TestContract:
             "order-repeats",
             "order-short",
             "pair-repeated",
+            "negative-k",
         ],
     )
     def test_malformed_poset_exits_2(self, capsys, poset):
@@ -384,6 +517,14 @@ class TestContract:
                 "--x", '{"dim": 1, "values": [{"simplex": [-1, 0], "coeff": 1}]}',
                 "--y", '{"dim": 0, "values": [{"simplex": [0], "coeff": 1}]}',
             ],
+            ["cup", "--complex", '{"vertices": -1, "simplices": []}', "--x", EDGE, "--y", EDGE],
+            ["cup", "--complex", '{"vertices": 2, "simplices": [[]]}', "--x", EDGE, "--y", EDGE],
+            ["cup", "--complex", DELTA2, "--x", '{"dim": -1, "values": []}', "--y", EDGE],
+            ["cup", "--complex", DELTA2, "--x", '{"dim": 1, "values": [{"simplex": ["a"], "coeff": 1}]}', "--y", EDGE],
+            ["cup", "--complex", DELTA2, "--x", '{"dim": 1, "values": [{"simplex": [1, 0], "coeff": 1}]}', "--y", EDGE],
+            ["cup", "--complex", DELTA2, "--x", '{"dim": 1, "values": [{"simplex": [0, 1, 2], "coeff": 1}]}', "--y", EDGE],
+            ["coaction", "--simplex", "2,1", "--seq", "1,2"],
+            ["coaction", "--simplex", "", "--seq", "1,2"],
         ],
         ids=[
             "cup-complex-not-object",
@@ -394,6 +535,14 @@ class TestContract:
             "coaction-simplex-descending",
             "cup-vertex-above-range",
             "cup-vertex-negative",
+            "cup-vertices-negative",
+            "cup-simplex-empty",
+            "cochain-dim-negative",
+            "cochain-simplex-not-integers",
+            "cochain-simplex-descending",
+            "cochain-simplex-wrong-dim",
+            "coaction-arg-descending",
+            "coaction-arg-empty",
         ],
     )
     def test_malformed_complex_exits_2(self, capsys, argv):
@@ -409,6 +558,10 @@ class TestContract:
             ["homology", "--arity", "2", "--max-degree", "-1"],
             ["homology", "--arity", "2", "--max-degree", "2", "--max-complexity", "-1"],
             ["berger-subcomplex", "--max-degree", "-1", "--poset", POSET_21],
+            ["cup", "--complex", RP2, "--x", RP2_X, "--y", RP2_X, "--i", "-1"],
+            ["steenrod", "--complex", RP2, "--x", RP2_X, "--i", "-1"],
+            ["compose", "--outer", "1,2", "--outer-arity", "-1", "--inner", "1", "--inner", "1"],
+            ["diff", "--seq", "1,2", "--arity", "-1"],
         ],
         ids=[
             "basis-arity",
@@ -418,10 +571,33 @@ class TestContract:
             "homology-max-degree",
             "homology-max-complexity",
             "berger-max-degree",
+            "cup-i",
+            "steenrod-i",
+            "compose-outer-arity",
+            "diff-arity",
         ],
     )
     def test_negative_size_exits_2(self, capsys, argv):
         assert_exits_2_with_one_line(capsys, argv)
+
+    @pytest.mark.parametrize("verb", sorted(FUZZ_FLAGS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_fuzz_boundary(self, verb, data):
+        # every flag of the verb, now and then one left out or a repeatable one given twice
+        missing = data.draw(mostly(st.none(), st.sampled_from(sorted(FUZZ_FLAGS[verb]))))
+        argv = [verb]
+        for flag, values in FUZZ_FLAGS[verb].items():
+            if flag != missing:
+                for _ in range(data.draw(st.integers(1, 2)) if flag in REPEATABLE else 1):
+                    argv += [flag, data.draw(values)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
     def test_verify_single_criterion(self, capsys):
         code = main(["verify", "--criteria", "A5"])
