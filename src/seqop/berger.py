@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import operad
-from .combinatorics import InputError, Surjection, enumerate_basis, is_int, is_int_list, pair_runs, perm_inverse
+from .combinatorics import InputError, Surjection, is_int, is_int_list, pair_runs, perm_inverse, word_bases
 from .homology import GradedComplex, complex_from_word_basis
 from .operad import OperadElement
 
@@ -172,13 +172,10 @@ def subcomplex_basis(bt: PosetElement, max_degree: int) -> GradedComplex:
     ChainComplexError.
     """
     caps = [w + 2 for w in bt.weights]
-    bases = {}
-    for d in range(max_degree + 1):
-        bases[d] = [
-            f
-            for f in enumerate_basis(bt.k, d, run_caps=caps)
-            if leq(invariant_of(f), bt)
-        ]
+    bases = {
+        d: [f for f in words if leq(invariant_of(f), bt)]
+        for d, words in word_bases(bt.k, max_degree, run_caps=caps).items()
+    }
     return complex_from_word_basis(bases)
 
 

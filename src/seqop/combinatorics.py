@@ -4,8 +4,11 @@ This module is the pure combinatorial substrate of the package.  A
 *surjection word* is a finite sequence ``(u_1, ..., u_m)`` with entries in
 ``{1..k}`` hitting every value, read as a map ``{1..m} -> {1..k}``; it is
 *nondegenerate* when no two adjacent entries are equal.  Words are stored
-1-indexed.  An overlapping partition of an ordered set (the vertices of a
-simplex, or a fiber of a word) is handled as its tuple of piece sizes.
+1-indexed.  :func:`word_bases` yields every degree of a word complex, or
+of a complexity stage run to its end, from one walk over prefixes, and
+:func:`enumerate_basis` is its one-degree view.  An overlapping partition of
+an ordered set (the vertices of a simplex, or a fiber of a word) is handled
+as its tuple of piece sizes.
 :func:`fiber_covers` is the one enumerator of these partitions: it yields
 each size tuple with the pieces covering each element, and operad
 composition, the cochain coaction (``simplicial``) and the Hochschild
@@ -95,8 +98,8 @@ class Surjection:
     each preserves validity:
 
     - :func:`validate`, after its own checks, which are the constructor's;
-    - :func:`enumerate_basis`: its generator yields only surjective words
-      with adjacent entries distinct;
+    - :func:`word_bases` and :func:`enumerate_basis`: their walk yields only
+      surjective words with adjacent entries distinct;
     - ``operad.differential``: :func:`boundary_terms` drops every deletion
       that leaves an adjacent-equal pair or loses a value;
     - ``operad.act``: relabeling by a permutation of {1..k} keeps both
@@ -259,6 +262,24 @@ def complexity(entries: Sequence[int], arity: int) -> int:
     return max(pair_runs(entries, arity)) - 1
 
 
+def word_bases(
+    arity: int, max_degree: int | None = None, max_complexity: int | None = None, *, run_caps: Sequence[int] | None = None
+) -> dict[int, list[Surjection]]:
+    """Each degree 0..max_degree of the word complex of one arity, mapped to
+    its words as :func:`enumerate_basis` cuts and orders them, from one walk.
+
+    A cut stage is finite: with ``max_degree=None`` the walk runs to its end
+    and the result stops at the first empty degree, included as ``[]``.
+    Without a cut, ``max_degree=None`` raises ValueError.
+
+    >>> word_bases(2, 1)
+    {0: [<12>, <21>], 1: [<121>, <212>]}
+    >>> word_bases(2, None, max_complexity=1)
+    {0: [<12>, <21>], 1: []}
+    """
+    return _nondegenerate_words(arity, 0, max_degree, max_complexity, run_caps)
+
+
 def enumerate_basis(
     arity: int, degree: int, max_complexity: int | None = None, *, run_caps: Sequence[int] | None = None
 ) -> list[Surjection]:
@@ -268,7 +289,8 @@ def enumerate_basis(
     ``max_complexity`` n set, keeps only words of complexity <= n, that is
     with at most n + 1 runs on every value pair.  ``run_caps`` instead caps
     the runs pair by pair, one cap per pair in the order of
-    :func:`pair_runs`.  Either cut prunes the enumeration itself.
+    :func:`pair_runs`.  Either cut prunes the enumeration itself.  This is
+    the one-degree view of :func:`word_bases`.
 
     >>> enumerate_basis(2, 0)
     [<12>, <21>]
@@ -277,41 +299,51 @@ def enumerate_basis(
     >>> enumerate_basis(3, 1, run_caps=(3, 2, 2))
     [<1213>, <2123>, <3121>, <3212>]
     """
-    if arity < 0 or degree < 0:
+    return _nondegenerate_words(arity, degree, degree, max_complexity, run_caps)[degree]
+
+
+def _nondegenerate_words(
+    arity: int, lo: int, hi: int | None, max_complexity: int | None, run_caps: Sequence[int] | None
+) -> dict[int, list[Surjection]]:
+    """The basis words of one arity at each degree lo..hi, in lexicographic
+    order: a depth-first walk over prefixes that emits each word of degree
+    >= lo on its way down to degree hi.
+
+    With ``run_caps`` it carries the run count of every value pair (the rule
+    of :func:`pair_runs`) and drops a prefix as soon as a pair goes over its
+    cap, which is sound because a prefix's run count on a pair never falls
+    as the word grows.  Without caps no run is counted.  ``hi=None`` needs a
+    cut: every entry takes a run, so no word has degree above the caps' sum,
+    and the result ends at the first empty degree.
+    """
+    if arity < 0 or lo < 0 or (hi is not None and hi < 0):
         raise ValueError("arity and degree must be nonnegative")
     npairs = arity * (arity - 1) // 2
     if max_complexity is not None:
         if run_caps is not None:
             raise ValueError("give max_complexity or run_caps, not both")
-        if max_complexity < 0:
-            return []  # every word has complexity >= 0
+        if max_complexity < 0:  # every word has complexity >= 0
+            return {d: [] for d in range(lo, (lo if hi is None else hi) + 1)}
         run_caps = [max_complexity + 1] * npairs
-    if run_caps is not None and len(run_caps) != npairs:
-        raise ValueError(f"need one run cap per 2-subset of 1..{arity}")
-    return _nondegenerate_words(arity, arity + degree, run_caps)
-
-
-def _nondegenerate_words(arity: int, length: int, run_caps: Sequence[int] | None = None) -> list[Surjection]:
-    """The basis words of one arity and length, in lexicographic order.
-
-    A depth-first walk over prefixes.  With ``run_caps`` it carries the run
-    count of every value pair (the rule of :func:`pair_runs`) and drops a
-    prefix as soon as a pair goes over its cap, which is sound because a
-    prefix's run count on a pair never falls as the word grows.  Without
-    caps no run is counted.
-    """
+    if run_caps is not None and (len(run_caps) != npairs or min(run_caps, default=0) < 0):
+        raise ValueError(f"need one nonnegative run cap per 2-subset of 1..{arity}")
+    to_end = hi is None
+    if to_end:
+        if run_caps is None:
+            raise ValueError("the full word complex has no top degree: give max_degree or a cut")
+        hi = lo + sum(run_caps) + 1
+    out: dict[int, list[Surjection]] = {d: [] for d in range(lo, hi + 1)}
     trusted = Surjection._trusted
-    if arity == 0:
-        return [trusted(0, ())] if length == 0 else []
-    out = []
-    word = [0] * length
+    shortest, longest = arity + lo, arity + hi
+    word = [0] * longest
     values = range(1, arity + 1)
 
     def rec(pos: int, used: int, missing: int):
-        if missing > length - pos:
+        if missing > longest - pos:
             return
-        if pos == length:
-            out.append(trusted(arity, tuple(word)))
+        if not missing and pos >= shortest:
+            out[pos - arity].append(trusted(arity, tuple(word[:pos])))
+        if pos == longest:
             return
         prev = word[pos - 1] if pos else 0
         for v in values:
@@ -334,10 +366,11 @@ def _nondegenerate_words(arity: int, length: int, run_caps: Sequence[int] | None
         # every later entry takes a run: a new value one on each of its
         # arity - 1 pairs, any other value at least one on the pair it
         # shares with its left neighbour
-        if missing > length - pos or spare < length - pos + missing * (arity - 2):
+        if missing > longest - pos or spare < max(shortest - pos, missing) + missing * (arity - 2):
             return
-        if pos == length:
-            out.append(trusted(arity, tuple(word)))
+        if not missing and pos >= shortest:
+            out[pos - arity].append(trusted(arity, tuple(word[:pos])))
+        if pos == longest:
             return
         prev = word[pos - 1] if pos else 0
         for v in values:
@@ -357,6 +390,9 @@ def _nondegenerate_words(arity: int, length: int, run_caps: Sequence[int] | None
                 room[p] += 1
 
     rec_capped(0, arity, sum(room))
+    if to_end:
+        end = next(d for d, words in out.items() if not words)
+        out = {d: out[d] for d in range(lo, end + 1)}
     return out
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .combinatorics import Surjection, boundary_terms, enumerate_basis
+from .combinatorics import Surjection, boundary_terms, word_bases
 
 
 class ChainComplexError(ValueError):
@@ -357,11 +357,10 @@ def complex_from_word_basis(bases: dict) -> GradedComplex:
     return GradedComplex(dict(bases), diffs)
 
 
-def build_word_complex(arity: int, max_degree: int, max_complexity: int | None = None) -> GradedComplex:
+def build_word_complex(arity: int, max_degree: int | None, max_complexity: int | None = None) -> GradedComplex:
     """The chain complex of nondegenerate words of one arity, through the
-    given degree, optionally cut to a complexity filtration stage."""
-    bases = {
-        d: enumerate_basis(arity, d, max_complexity)
-        for d in range(max_degree + 1)
-    }
-    return complex_from_word_basis(bases)
+    given degree, optionally cut to a complexity filtration stage, with the
+    bases of all degrees from one :func:`word_bases` walk.
+    ``max_degree=None`` builds a stage to its end, through its first empty
+    degree, so that every group below that degree is complete."""
+    return complex_from_word_basis(word_bases(arity, max_degree, max_complexity))

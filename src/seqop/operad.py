@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .combinatorics import (
     DEGENERATE,
+    InputError,
     Surjection,
     boundary_terms,
     complexity,
@@ -181,10 +182,13 @@ def act(e: OperadElement, rho: Sequence[int]) -> OperadElement:
 
     ``rho`` is in one-line notation; each word f maps to rho^-1 o f with
     the inversion-pair sign.  This is a right action: acting by rho then
-    sigma equals acting by their composite rho o sigma.
+    sigma equals acting by their composite rho o sigma.  A ``rho`` that is
+    no permutation is malformed; one of the wrong size is an arity mismatch.
     """
-    if sorted(rho) != list(range(1, e.arity + 1)):
-        raise ArityMismatchError(f"{rho} is not a permutation of 1..{e.arity}")
+    if sorted(rho) != list(range(1, len(rho) + 1)):
+        raise InputError(f"{tuple(rho)} is not a permutation of 1..{len(rho)}")
+    if len(rho) != e.arity:
+        raise ArityMismatchError(f"{tuple(rho)} permutes 1..{len(rho)}, not 1..{e.arity}")
     rinv = perm_inverse(rho)
     pairs = []
     for f, coeff in e._terms.items():

@@ -333,7 +333,8 @@ def evaluate(e: OperadElement | Surjection, cochains: Sequence[Cochain]) -> Coch
                 raise ComplexMismatchError("cochains live on different complexes")
     degrees = [x.dim for x in cochains]
     out_dim = sum(degrees) - e.degree
-    if complex is None or out_dim < 0:
+    faces = complex.faces(out_dim) if complex is not None and out_dim >= 0 else []
+    if not faces:  # nothing to evaluate on, so no partition is enumerated
         return Cochain(complex or standard_simplex(0), out_dim, {})
 
     koszul = sum(degrees[i] * degrees[j] for i in range(len(degrees)) for j in range(i + 1, len(degrees))) % 2
@@ -348,7 +349,7 @@ def evaluate(e: OperadElement | Surjection, cochains: Sequence[Cochain]) -> Coch
         ]
         if not matching:
             continue
-        for simp in complex.faces(out_dim):
+        for simp in faces:
             total = 0
             for parity, factors in matching:
                 prod = coeff

@@ -366,8 +366,14 @@ class TestContract:
             ["cup", "--complex", DELTA2, "--x", '{"dim": 1, "values": [{"simplex": [0, 7], "coeff": 1}]}', "--y", EDGE],
             ["coaction", "--simplex", "0,1", "--seq", "1,2", "--complex", '{"vertices": 3, "simplices": [[0, 2]]}'],
             ["hochschild-theta", "--ring", NONASSOCIATIVE, "--seq", "1", "--cochain", THETA_X],
+            ["act", "--seq", "1,2", "--perm", "1,2,3"],
         ],
-        ids=["cochain-simplex-outside-complex", "coaction-simplex-outside-complex", "ring-nonassociative"],
+        ids=[
+            "cochain-simplex-outside-complex",
+            "coaction-simplex-outside-complex",
+            "ring-nonassociative",
+            "act-perm-wrong-size",
+        ],
     )
     def test_well_formed_mismatch_exits_1(self, capsys, argv):
         code = main(argv)
@@ -389,6 +395,8 @@ class TestContract:
             ["bogus"],
             [],
             ["homology", "--arity", "2"],
+            ["act", "--seq", "1,2", "--perm", "1,1"],
+            ["act", "--seq", "1,2", "--perm", "0,1"],
         ],
         ids=[
             "cochain-without-dim",
@@ -401,6 +409,8 @@ class TestContract:
             "unknown-verb",
             "no-verb",
             "homology-without-max-degree",
+            "act-perm-repeated",
+            "act-perm-entry-0",
         ],
     )
     def test_malformed_exits_2_with_one_line(self, capsys, argv):

@@ -24,6 +24,7 @@ from seqop.combinatorics import (
     perm_inverse,
     tau,
     validate,
+    word_bases,
     zeta_parity,
     zeta_sign,
 )
@@ -188,29 +189,53 @@ class TestPairRuns:
 class TestPrunedEnumeration:
     @pytest.mark.parametrize("k", range(6))
     def test_matches_enumerate_then_filter(self, k):
-        for d in range(5 if k < 5 else 3):
+        top = 4 if k < 5 else 2
+        walks = {n: word_bases(k, top, max_complexity=n) for n in range(5)}
+        for d in range(top + 1):
             full = enumerate_basis(k, d)
             stages = [reference_complexity(f.entries, k) for f in full]
             for n in range(5):
                 want = [f.entries for f, c in zip(full, stages) if c <= n]
                 assert [f.entries for f in enumerate_basis(k, d, max_complexity=n)] == want, (k, d, n)
+                assert [f.entries for f in walks[n][d]] == want, (k, d, n)
+        assert all(list(walk) == list(range(top + 1)) for walk in walks.values())
 
     def test_per_pair_caps_match_filter(self):
         for caps in itertools.product((1, 2, 3, 4), repeat=3):
+            walk = word_bases(3, 3, run_caps=caps)
             for d in range(4):
                 want = [f.entries for f in enumerate_basis(3, d) if all(r <= c for r, c in zip(pair_runs(f.entries, 3), caps))]
                 assert [f.entries for f in enumerate_basis(3, d, run_caps=caps)] == want
+                assert [f.entries for f in walk[d]] == want
+
+    @pytest.mark.parametrize("k,n", [(0, 0), (1, 2), (2, 1), (2, 3), (3, 2), (4, 2), (3, 4)])
+    def test_stage_runs_to_its_first_empty_degree(self, k, n):
+        bases = word_bases(k, None, max_complexity=n)
+        top = max(bases)
+        assert list(bases) == list(range(top + 1))
+        assert bases[top] == [] and all(bases[d] for d in range(top))
+        for d in range(top + 2):
+            assert bases.get(d, []) == enumerate_basis(k, d, max_complexity=n), d
+
+    def test_no_top_degree_needs_a_cut(self):
+        with pytest.raises(ValueError):
+            word_bases(2)
+        with pytest.raises(ValueError):
+            word_bases(2, -1, max_complexity=2)
 
     def test_negative_stage_is_empty(self):
         # every word has complexity >= 0, even in arities without pairs
         for k in (0, 1, 2, 3):
             assert enumerate_basis(k, 0, -1) == []
+            assert word_bases(k, None, -1) == {0: []}
 
     def test_bad_caps_raise(self):
         with pytest.raises(ValueError):
             enumerate_basis(3, 1, run_caps=(2, 2))
         with pytest.raises(ValueError):
             enumerate_basis(2, 1, 2, run_caps=(3,))
+        with pytest.raises(ValueError):  # no cap below 0 is met, yet the walk let words through
+            enumerate_basis(3, 0, run_caps=(-1, 5, 5))
 
 
 # The object-based enumeration that partition_size_compositions and

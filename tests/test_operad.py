@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqop.combinatorics import Surjection, enumerate_basis, perm_compose
+from seqop.combinatorics import InputError, Surjection, enumerate_basis, perm_compose
 from seqop.operad import (
     ArityMismatchError,
     OperadElement,
@@ -103,8 +103,13 @@ class TestAction:
         assert act(e, (1, 2)) == e
 
     def test_not_a_permutation(self):
-        with pytest.raises(ArityMismatchError):
+        # no permutation of any size is malformed; the wrong size is a mismatch
+        with pytest.raises(InputError):
             act(basis(1, 2), (1, 1))
+        with pytest.raises(InputError):
+            act(basis(1, 2), (0, 1))
+        with pytest.raises(ArityMismatchError):
+            act(basis(1, 2), (2, 1, 3))
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())

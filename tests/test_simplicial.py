@@ -170,6 +170,15 @@ class TestEvaluate:
         assert evaluate(e, [y, y]).is_zero()
         assert evaluate(e, [x, y]).dim == 0
 
+    def test_no_faces_builds_no_skeleton(self):
+        # cochains above the complex's dimension: the result is read off the
+        # empty face list, before any overlapping partition is enumerated
+        x = Cochain(standard_simplex(2), 1000, {})
+        misses = _coaction_skeleton.cache_info().misses
+        got = cup(x, x)
+        assert got.dim == 2000 and got.is_zero()
+        assert _coaction_skeleton.cache_info().misses == misses
+
     def test_cup_leibniz(self):
         rng = random.Random(3)
         for px, py in ((0, 1), (1, 1), (1, 2)):
