@@ -190,9 +190,10 @@ class TestPrunedEnumeration:
     @pytest.mark.parametrize("k", range(6))
     def test_matches_enumerate_then_filter(self, k):
         top = 4 if k < 5 else 2
-        walks = {n: word_bases(k, top, max_complexity=n) for n in range(5)}
+        walks = {n: word_bases(k, top, max_complexity=n) for n in (None, 0, 1, 2, 3, 4)}
         for d in range(top + 1):
             full = enumerate_basis(k, d)
+            assert walks[None][d] == full, (k, d)
             stages = [reference_complexity(f.entries, k) for f in full]
             for n in range(5):
                 want = [f.entries for f, c in zip(full, stages) if c <= n]
