@@ -102,7 +102,7 @@ def _dense_cochain(complex, dim, rng):
     )
 
 
-def criterion_a3(trials: int = 200) -> CriterionResult:
+def criterion_a3() -> CriterionResult:
     """Oracle equivalence on standard simplices for the three structure
     formulas: combinatorial differential vs operator differential, signed
     relabeling vs permuted evaluation, diagram composition vs nested
@@ -111,7 +111,7 @@ def criterion_a3(trials: int = 200) -> CriterionResult:
     rng = random.Random(20260808)
     nonvacuous = [0, 0, 0]
 
-    for t in range(trials):
+    for _ in range(200):
         k = rng.choice((1, 2, 3))
         degree = rng.choice((1, 2, 3))
         words = enumerate_basis(k, degree)
@@ -129,7 +129,7 @@ def criterion_a3(trials: int = 200) -> CriterionResult:
         if not lhs.is_zero():
             nonvacuous[0] += 1
 
-    for t in range(trials):
+    for _ in range(200):
         k = rng.choice((2, 3))
         degree = rng.choice((0, 1, 2, 3))
         words = [f for f in enumerate_basis(k, degree) if f.length <= 6]
@@ -147,7 +147,7 @@ def criterion_a3(trials: int = 200) -> CriterionResult:
         if not lhs.is_zero():
             nonvacuous[1] += 1
 
-    for t in range(trials):
+    for _ in range(200):
         k = rng.choice((1, 2))
         df = rng.choice((0, 1)) if k > 1 else 0
         fs = enumerate_basis(k, df)
@@ -173,7 +173,7 @@ def criterion_a3(trials: int = 200) -> CriterionResult:
             nonvacuous[2] += 1
 
     detail = (
-        f"{trials} instances each, zero failures "
+        "200 instances each, zero failures "
         f"(nonvacuous: diff {nonvacuous[0]}, perm {nonvacuous[1]}, compose {nonvacuous[2]})"
     )
     return _result("A3", start, True, detail)
@@ -235,7 +235,7 @@ def criterion_a5() -> CriterionResult:
     return _result("A5", start, True, f"arity-2 stages 1..5 are spheres; arity-3 stage 2 Betti {betti}")
 
 
-def criterion_a6(trials: int = 500) -> CriterionResult:
+def criterion_a6() -> CriterionResult:
     """Filtration closure: boundary, relabeling and composition of words
     of complexity <= n stay within complexity <= n, for n <= 3."""
     start = time.time()
@@ -249,7 +249,7 @@ def criterion_a6(trials: int = 500) -> CriterionResult:
         return pools[(k, n)]
 
     checked = 0
-    for t in range(trials):
+    for _ in range(500):
         n = rng.choice((1, 2, 3))
         k = rng.choice((2, 3))
         words = pool(k, n)
@@ -306,7 +306,7 @@ def _random_hochschild_cochain(ring, degree, rng):
     return hochschild.HochschildCochain(ring, degree, table)
 
 
-def criterion_a8(trials: int = 200) -> CriterionResult:
+def criterion_a8() -> CriterionResult:
     """The word action on Hochschild cochains over the three shipped rings:
     chain-map, composition and equivariance identities on randomized
     instances; the two-letter word acts as the cup product; and the
@@ -338,7 +338,7 @@ def criterion_a8(trials: int = 200) -> CriterionResult:
 
     nonvacuous = [0, 0, 0]
     count = 0
-    while count < trials:
+    while count < 200:
         ring = rng.choice(rings)
         k = rng.choice((1, 2, 3))
         d = rng.choice((0, 1, 2, 3))
@@ -395,7 +395,7 @@ def criterion_a8(trials: int = 200) -> CriterionResult:
             nonvacuous[2] += 1
 
     detail = (
-        f"{trials} instances over 3 rings, zero failures "
+        "200 instances over 3 rings, zero failures "
         f"(nonvacuous: chain {nonvacuous[0]}, equivariance {nonvacuous[1]}, composition {nonvacuous[2]})"
     )
     return _result("A8", start, True, detail)

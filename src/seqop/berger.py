@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from . import operad
 from .combinatorics import InputError, Surjection, is_int, is_int_list, pair_runs, perm_inverse, word_bases
 from .homology import GradedComplex, complex_from_word_basis
-from .operad import OperadElement
 
 
 def _pair_index(k: int) -> list[tuple[int, int]]:
@@ -178,34 +176,3 @@ def subcomplex_basis(bt: PosetElement, max_degree: int) -> GradedComplex:
     }
     return complex_from_word_basis(bases)
 
-
-def contraction_homotopy(e: OperadElement, i: int) -> OperadElement:
-    """The prepend homotopy conjugated to the value i.
-
-    For i = 1 this is the plain contraction; in general the element is
-    relabeled by the transposition (1 i), contracted, and relabeled back,
-    which retracts onto the words that start with i and contain no other i.
-    """
-    if not 1 <= i <= e.arity:
-        raise ValueError(f"value {i} outside 1..{e.arity}")
-    if i == 1:
-        return operad.benson_homotopy(e)
-    rho = _transposition(e.arity, 1, i)
-    return operad.act(operad.benson_homotopy(operad.act(e, rho)), rho)
-
-
-def contraction_projector(e: OperadElement, i: int) -> OperadElement:
-    """iota o retract conjugated to the value i; the homotopy identity reads
-    d s_i + s_i d = id + (this map) on any subcomplex invariant under s_i."""
-    if not 1 <= i <= e.arity:
-        raise ValueError(f"value {i} outside 1..{e.arity}")
-    if i == 1:
-        return operad.iota(operad.retract(e))
-    rho = _transposition(e.arity, 1, i)
-    return operad.act(operad.iota(operad.retract(operad.act(e, rho))), rho)
-
-
-def _transposition(k: int, a: int, b: int) -> tuple[int, ...]:
-    rho = list(range(1, k + 1))
-    rho[a - 1], rho[b - 1] = rho[b - 1], rho[a - 1]
-    return tuple(rho)

@@ -15,9 +15,8 @@ composition, the cochain coaction (``simplicial``) and the Hochschild
 action (``hochschild.theta``) all read their sums from it, signed by
 :func:`epsilon_parity`.
 
-All sign computations are exposed both as parities (``*_parity``, integers
-mod 2) and as signs in ``{+1, -1}``; internal code works with parities and
-exponentiates once at the boundary.
+All sign computations are exposed as parities (``*_parity``, integers
+mod 2); callers exponentiate once, where a sign is applied.
 """
 
 from __future__ import annotations
@@ -75,13 +74,23 @@ class _DegenerateMarker:
 DEGENERATE = _DegenerateMarker()
 
 
-def is_surjective(entries: Sequence[int], arity: int) -> bool:
-    return len(set(entries)) == arity
+def _word_fault(entries: Sequence[int], arity: int) -> str | None:
+    """The one check of a word: None for a basis word, else a message
+    template (fields ``entries`` and ``arity``) saying why it is degenerate.
 
-
-def is_nondegenerate(entries: Sequence[int]) -> bool:
-    """True when no two adjacent entries are equal."""
-    return all(a != b for a, b in zip(entries, entries[1:]))
+    A negative arity or an entry outside 1..arity is malformed and raises
+    InvalidEntryError.
+    """
+    if arity < 0:
+        raise InvalidEntryError(f"arity must be >= 0, got {arity}")
+    for u in entries:
+        if not 1 <= u <= arity:
+            raise InvalidEntryError(f"entry {u} outside 1..{arity}")
+    if len(set(entries)) != arity:
+        return "{entries} is not surjective onto 1..{arity}"
+    if any(a == b for a, b in zip(entries, entries[1:])):
+        return "{entries} has equal adjacent entries"
+    return None
 
 
 @dataclass(frozen=True, order=True)
@@ -97,7 +106,7 @@ class Surjection:
     private :meth:`_trusted`, which skips these checks.  The sites, and why
     each preserves validity:
 
-    - :func:`validate`, after its own checks, which are the constructor's;
+    - :func:`validate`, after the constructor's check;
     - :func:`word_bases` and :func:`enumerate_basis`: their walk yields only
       surjective words with adjacent entries distinct;
     - ``operad.differential``: :func:`boundary_terms` drops every deletion
@@ -110,7 +119,7 @@ class Surjection:
       puts 1 before an entry >= 2.
 
     Words from outside still pass every check, through this constructor,
-    ``validate``, ``OperadElement.basis`` or ``OperadElement.from_json``.
+    ``validate`` or ``OperadElement.basis``.
 
     >>> Surjection(2, (1, 2, 1, 2)).degree
     2
@@ -128,15 +137,9 @@ class Surjection:
         return f
 
     def __post_init__(self):
-        if self.arity < 0:
-            raise InvalidEntryError(f"arity must be >= 0, got {self.arity}")
-        for u in self.entries:
-            if not 1 <= u <= self.arity:
-                raise InvalidEntryError(f"entry {u} outside 1..{self.arity}")
-        if not is_surjective(self.entries, self.arity):
-            raise InvalidEntryError(f"{self.entries} is not surjective onto 1..{self.arity}")
-        if not is_nondegenerate(self.entries):
-            raise InvalidEntryError(f"{self.entries} has equal adjacent entries")
+        fault = _word_fault(self.entries, self.arity)
+        if fault:
+            raise InvalidEntryError(fault.format(entries=self.entries, arity=self.arity))
 
     @property
     def degree(self) -> int:
@@ -170,12 +173,7 @@ def validate(entries: Sequence[int], arity: int):
     DEGENERATE
     """
     entries = tuple(entries)
-    if arity < 0:
-        raise InvalidEntryError(f"arity must be >= 0, got {arity}")
-    for u in entries:
-        if not 1 <= u <= arity:
-            raise InvalidEntryError(f"entry {u} outside 1..{arity}")
-    if not is_surjective(entries, arity) or not is_nondegenerate(entries):
+    if _word_fault(entries, arity):
         return DEGENERATE
     return Surjection._trusted(arity, entries)
 
@@ -276,30 +274,30 @@ def word_bases(
     {0: [<12>, <21>], 1: [<121>, <212>]}
     >>> word_bases(2, None, max_complexity=1)
     {0: [<12>, <21>], 1: []}
+
+    ``run_caps`` caps the runs pair by pair instead, one cap per pair in the
+    order of :func:`pair_runs`, as Berger cells need:
+
+    >>> word_bases(3, 1, run_caps=(3, 2, 2))[1]
+    [<1213>, <2123>, <3121>, <3212>]
     """
     return _nondegenerate_words(arity, 0, max_degree, max_complexity, run_caps)
 
 
-def enumerate_basis(
-    arity: int, degree: int, max_complexity: int | None = None, *, run_caps: Sequence[int] | None = None
-) -> list[Surjection]:
+def enumerate_basis(arity: int, degree: int, max_complexity: int | None = None) -> list[Surjection]:
     """All nondegenerate surjections of the given arity and degree.
 
     Deterministic lexicographic order on the underlying words.  With
     ``max_complexity`` n set, keeps only words of complexity <= n, that is
-    with at most n + 1 runs on every value pair.  ``run_caps`` instead caps
-    the runs pair by pair, one cap per pair in the order of
-    :func:`pair_runs`.  Either cut prunes the enumeration itself.  This is
-    the one-degree view of :func:`word_bases`.
+    with at most n + 1 runs on every value pair; the cut prunes the
+    enumeration itself.  This is the one-degree view of :func:`word_bases`.
 
     >>> enumerate_basis(2, 0)
     [<12>, <21>]
     >>> enumerate_basis(2, 1, max_complexity=2)
     [<121>, <212>]
-    >>> enumerate_basis(3, 1, run_caps=(3, 2, 2))
-    [<1213>, <2123>, <3121>, <3212>]
     """
-    return _nondegenerate_words(arity, degree, degree, max_complexity, run_caps)[degree]
+    return _nondegenerate_words(arity, degree, degree, max_complexity, None)[degree]
 
 
 def _nondegenerate_words(
@@ -462,6 +460,9 @@ def epsilon_parity(entries: Sequence[int], piece_sizes: Sequence[int]) -> int:
     With ||A|| = |A| - 1, this is the mod-2 value of
     sum of ||A_j|| ||A_j'|| over inverted pairs (j < j', f(j) > f(j'))
     plus sum of ||A_j|| (tau[j] - f(j)).
+
+    >>> epsilon_parity((1, 2, 1), (1, 2, 1))
+    1
     """
     if len(entries) != len(piece_sizes):
         raise ValueError("piece count must equal the word length")
@@ -474,15 +475,6 @@ def epsilon_parity(entries: Sequence[int], piece_sizes: Sequence[int]) -> int:
     for j in range(len(entries)):
         acc += norms[j] * (t[j] - entries[j])
     return acc % 2
-
-
-def epsilon_sign(entries: Sequence[int], piece_sizes: Sequence[int]) -> int:
-    """The coaction sign in {+1, -1}.
-
-    >>> epsilon_sign((1, 2, 1), (1, 2, 1))
-    -1
-    """
-    return -1 if epsilon_parity(entries, piece_sizes) else 1
 
 
 def koszul_parity(sigma: Sequence[int], degrees: Sequence[int]) -> int:
@@ -507,18 +499,12 @@ def zeta_parity(entries: Sequence[int], arity: int, rho: Sequence[int]) -> int:
 
     The Koszul parity of rho on the fiber norms ||f^-1(i)||, i.e. the sum
     of ||f^-1(i)|| ||f^-1(i')|| over value pairs i < i' inverted by rho^-1.
+
+    >>> zeta_parity((1, 2, 1, 2), 2, (2, 1))
+    1
     """
     counts = Counter(entries)
     return koszul_parity(rho, [counts[i] - 1 for i in range(1, arity + 1)])
-
-
-def zeta_sign(entries: Sequence[int], arity: int, rho: Sequence[int]) -> int:
-    """The relabeling sign in {+1, -1}.
-
-    >>> zeta_sign((1, 2, 1, 2), 2, (2, 1))
-    -1
-    """
-    return -1 if zeta_parity(entries, arity, rho) else 1
 
 
 def perm_inverse(rho: Sequence[int]) -> tuple[int, ...]:
@@ -527,13 +513,6 @@ def perm_inverse(rho: Sequence[int]) -> tuple[int, ...]:
     for i, v in enumerate(rho):
         inv[v - 1] = i + 1
     return tuple(inv)
-
-
-def perm_compose(rho: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
-    """Functional composition (rho o sigma)(i) = rho(sigma(i))."""
-    if len(rho) != len(sigma):
-        raise ValueError("permutations must have equal size")
-    return tuple(rho[s - 1] for s in sigma)
 
 
 # ---------------------------------------------------------------------------

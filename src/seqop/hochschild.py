@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .combinatorics import InputError, Surjection, complexity, epsilon_parity, fiber_covers, is_int, is_int_list
+from .combinatorics import InputError, complexity, epsilon_parity, fiber_covers, is_int, is_int_list
 from .operad import OperadElement
 
 
@@ -266,10 +266,6 @@ def identity_cochain(ring: FiniteRing) -> HochschildCochain:
     return HochschildCochain(ring, 1, {(t,): ring.basis_vector(t) for t in range(1, ring.rank)})
 
 
-def constant_cochain(ring: FiniteRing, vector: Sequence[int]) -> HochschildCochain:
-    return HochschildCochain(ring, 0, {(): tuple(vector)})
-
-
 def _keys(ring: FiniteRing, degree: int):
     return itertools.product(range(1, ring.rank), repeat=degree)
 
@@ -388,7 +384,7 @@ def _eval_word(word: tuple[int, ...], cochains, ring) -> HochschildCochain:
     return brace(cochains[i - 1], [_eval_word(gap, cochains, ring) for gap in gaps])
 
 
-def theta(e: OperadElement | Surjection, cochains: Sequence[HochschildCochain]) -> HochschildCochain:
+def theta(e: OperadElement, cochains: Sequence[HochschildCochain]) -> HochschildCochain:
     """The action of a complexity <= 2 element on Hochschild cochains.
 
     One sum over overlapping partitions, the sum behind the cochain
@@ -408,8 +404,6 @@ def theta(e: OperadElement | Surjection, cochains: Sequence[HochschildCochain]) 
     to C(d + 1, 2) for every word.  The axioms (chain map, composition,
     equivariance) are enforced by the test suite and A8, not assumed.
     """
-    if isinstance(e, Surjection):
-        e = OperadElement(e.arity, e.degree, {e: 1})
     if len(cochains) != e.arity:
         raise ValueError(f"need {e.arity} cochains, got {len(cochains)}")
     if not cochains:

@@ -1,11 +1,13 @@
 """Exact integer homology of finite graded complexes via Smith reduction.
 
 Matrices are sparse over arbitrary-precision integers; no modular or
-floating shortcuts anywhere.  The reduction prefers unit pivots chosen by
-a Markowitz-style fill estimate, which keeps the boundary matrices of the
-word complexes (entries in {-1, 0, 1}) from blowing up; general pivots
-fall back to the classical divide-and-clear discipline, so the diagonal
-comes out in divisibility order.
+floating shortcuts anywhere.  Each pivot is a unit of the shortest live
+row when that row has one, else the least entry of the whole matrix by
+absolute value and then by a Markowitz-style fill estimate, so a unit
+whenever one exists; this keeps the boundary matrices of the word
+complexes (entries in {-1, 0, 1}) from blowing up.  A pivot that is not a
+unit is first shrunk by the classical divide-and-clear discipline, so the
+diagonal comes out in divisibility order.
 """
 
 from __future__ import annotations
@@ -126,7 +128,8 @@ class _Reducer:
     # pivot selection -------------------------------------------------------
 
     def _pick_unit_pivot(self):
-        """A +-1 entry with a small Markowitz fill estimate, or None."""
+        """A +-1 entry of the shortest live row with the fewest entries in
+        its column, or None when that row has no unit."""
         while self.heap:
             length, r = self.heap[0]
             row = self.rows.get(r)
@@ -139,30 +142,19 @@ class _Reducer:
                     score = len(self.colmap[c])
                     if best is None or score < best[0]:
                         best = (score, r, c)
-            if best is None:
-                # shortest live row has no unit entry; scan everything once
-                return self._scan_unit_pivot()
-            return best[1], best[2]
+            return (best[1], best[2]) if best else None
         return None
 
-    def _scan_unit_pivot(self):
+    def _scan_pivot(self):
+        """The least entry of the whole matrix by (|v|, Markowitz fill
+        estimate), so a unit whenever there is one."""
         best = None
         for r, row in self.rows.items():
             for c, v in row.items():
-                if v == 1 or v == -1:
-                    score = (len(row) - 1) * (len(self.colmap[c]) - 1)
-                    if best is None or score < best[0]:
-                        best = (score, r, c)
-        return (best[1], best[2]) if best else None
-
-    def _pick_min_pivot(self):
-        best = None
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                key = abs(v)
+                key = (abs(v), (len(row) - 1) * (len(self.colmap[c]) - 1))
                 if best is None or key < best[0]:
                     best = (key, r, c)
-        return (best[1], best[2]) if best else None
+        return best[1], best[2]
 
     # elimination -----------------------------------------------------------
 
@@ -225,20 +217,13 @@ class _Reducer:
 
     def run(self):
         while self.rows:
-            unit = self._pick_unit_pivot()
-            if unit is not None:
-                r, c = unit
-                if self.rows[r][c] == -1:
-                    self._negate_row(r)
-                self._clear_pivot(r, c)
-                self.factors.append(1)
-            else:
-                r, c = self._pick_min_pivot()
+            r, c = self._pick_unit_pivot() or self._scan_pivot()
+            if abs(self.rows[r][c]) != 1:
                 r, c = self._reduce_general_pivot(r, c)
-                if self.rows[r][c] < 0:
-                    self._negate_row(r)
-                self._clear_pivot(r, c)
-                self.factors.append(self.rows[r][c])
+            if self.rows[r][c] < 0:
+                self._negate_row(r)
+            self._clear_pivot(r, c)
+            self.factors.append(self.rows[r][c])
             row = self.rows.pop(r)
             self.colmap[c].discard(r)
             for c2 in row:
@@ -250,10 +235,6 @@ def invariant_factors(M: SparseIntMatrix) -> list[int]:
     reducer = _Reducer(M)
     reducer.run()
     return sorted(reducer.factors, key=abs)
-
-
-def rank(M: SparseIntMatrix) -> int:
-    return len(invariant_factors(M))
 
 
 @dataclass(frozen=True)

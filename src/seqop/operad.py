@@ -74,10 +74,6 @@ class OperadElement:
         return cls(f.arity, f.degree, {f: 1})
 
     @classmethod
-    def zero(cls, arity: int, degree: int) -> "OperadElement":
-        return cls(arity, degree)
-
-    @classmethod
     def unit(cls) -> "OperadElement":
         return cls.basis((1,), 1)
 
@@ -147,14 +143,6 @@ class OperadElement:
             "degree": self.degree,
             "terms": [{"coeff": c, "seq": list(f.entries)} for f, c in self.items()],
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "OperadElement":
-        terms: dict[Surjection, int] = {}
-        for item in data.get("terms", []):
-            f = Surjection(data["arity"], tuple(item["seq"]))
-            terms[f] = terms.get(f, 0) + item["coeff"]
-        return cls(data["arity"], data["degree"], terms)
 
 
 def _collect(arity: int, degree: int, pairs: Iterable[tuple[int, Surjection]]) -> OperadElement:

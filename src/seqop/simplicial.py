@@ -8,7 +8,7 @@ coaction.  The coboundary carries the sign convention
 
 so the cup product realized by the word (1, 2) differs from the classical
 front-face/back-face product by (-1)^{|x||y|}.  Only :func:`coboundary`
-applies that sign; the mod-2 rows read d from face indices alone.  The
+applies that sign; the mod-2 columns read d from face indices alone.  The
 coaction sums over the partitions of the vertices that
 :func:`seqop.combinatorics.fiber_covers` enumerates for composition and
 the Hochschild action too.
@@ -173,10 +173,6 @@ class _Valued:
         return f"{type(self).__name__}(dim={self.dim}; {body or '0'})"
 
 
-class Chain(_Valued):
-    """An integer combination of simplices of one dimension."""
-
-
 class Cochain(_Valued):
     """An integer-valued function on the simplices of one dimension."""
 
@@ -236,25 +232,6 @@ class TensorChain(_Valued):
                 raise ValueError(f"{simp} is not a simplex of the complex")
 
 
-def dual_cochain(complex: SimplicialComplex, simplex: Sequence[int]) -> Cochain:
-    """The indicator cochain of one simplex (a dual basis vector)."""
-    simplex = tuple(simplex)
-    return Cochain(complex, len(simplex) - 1, {simplex: 1})
-
-
-def boundary(chain: Chain) -> Chain:
-    """Alternating-sum simplicial boundary."""
-    acc: dict = {}
-    for simp, coeff in chain.coeffs.items():
-        for i in range(len(simp)):
-            face = simp[:i] + simp[i + 1 :]
-            if not face:
-                continue
-            sign = -1 if i % 2 else 1
-            acc[face] = acc.get(face, 0) + sign * coeff
-    return Chain(chain.complex, chain.dim - 1, acc)
-
-
 def coboundary(x: Cochain) -> Cochain:
     """The coboundary with the sign d(x) = -(-1)^{|x|} x o boundary."""
     front = -1 if x.dim % 2 == 0 else 1
@@ -312,7 +289,7 @@ def coaction(complex: SimplicialComplex, simplex: Sequence[int], f) -> TensorCha
     return TensorChain(complex, arity, acc)
 
 
-def evaluate(e: OperadElement | Surjection, cochains: Sequence[Cochain]) -> Cochain:
+def evaluate(e: OperadElement, cochains: Sequence[Cochain]) -> Cochain:
     """Apply an operad element to a tuple of cochains.
 
     The result has degree sum(|x_i|) - degree(e); terms whose face
@@ -320,8 +297,6 @@ def evaluate(e: OperadElement | Surjection, cochains: Sequence[Cochain]) -> Coch
     global (-1)^{m-k} together with the Koszul sign of moving each
     cochain past the earlier chain factors.
     """
-    if isinstance(e, Surjection):
-        e = OperadElement(e.arity, e.degree, {e: 1})
     if len(cochains) != e.arity:
         raise ValueError(f"need {e.arity} cochains, got {len(cochains)}")
     if e.arity == 0:
@@ -424,95 +399,83 @@ def oracle_equal(e1: OperadElement, e2: OperadElement, p_max: int | None = None)
 
 
 class _GF2Basis:
-    """A reduced echelon basis of bit vectors, one distinct pivot per row."""
+    """An echelon basis of bit vectors, one row per top bit.
 
-    def __init__(self, rows: Iterable[int] = ()):
-        self.rows: list[tuple[int, int]] = []  # (pivot bit, row)
-        for row in rows:
-            self.insert(row)
+    Each row carries the combination of inserted vectors (as bits, in the
+    caller's numbering) that it is the sum of.  A vector is reduced from its
+    top bit down and stops at the first top bit that is not a pivot, so no
+    row is ever rewritten.
+    """
 
-    def reduce(self, vec: int) -> int:
-        for piv, row in self.rows:
-            if vec >> piv & 1:
-                vec ^= row
-        return vec
+    def __init__(self):
+        self.rows: dict[int, tuple[int, int]] = {}  # top bit -> (row, combination)
 
-    def insert(self, vec: int) -> bool:
-        vec = self.reduce(vec)
-        if vec == 0:
-            return False
-        piv = vec.bit_length() - 1
-        self.rows = [(p, r ^ vec if r >> piv & 1 else r) for p, r in self.rows]
-        self.rows.append((piv, vec))
-        return True
+    def reduce(self, vec: int, combo: int = 0) -> tuple[int, int]:
+        rows = self.rows
+        while vec:
+            hit = rows.get(vec.bit_length() - 1)
+            if hit is None:
+                break
+            vec ^= hit[0]
+            combo ^= hit[1]
+        return vec, combo
 
-    def contains(self, vec: int) -> bool:
-        return self.reduce(vec) == 0
-
-    def kernel_basis(self, n_cols: int) -> list[int]:
-        """Solutions of row . v = 0 for all rows, one per free column."""
-        pivots = {piv for piv, _ in self.rows}
-        out = []
-        for free in range(n_cols):
-            if free in pivots:
-                continue
-            vec = 1 << free
-            for piv, row in self.rows:
-                if row >> free & 1:
-                    vec |= 1 << piv
-            out.append(vec)
-        return out
+    def insert(self, vec: int, combo: int = 0) -> tuple[int, int]:
+        """Reduce ``vec`` and keep the remainder, if any, as a new row."""
+        vec, combo = self.reduce(vec, combo)
+        if vec:
+            self.rows[vec.bit_length() - 1] = (vec, combo)
+        return vec, combo
 
 
-def _coboundary_bits(complex: SimplicialComplex, p: int) -> list[int]:
-    """Rows of the mod-2 coboundary from degree p, one per (p+1)-face.
+def _coboundary_columns(complex: SimplicialComplex, p: int) -> list[int]:
+    """The mod-2 coboundary from degree p, one column per p-face.
 
-    Mod 2 every sign of d vanishes, so the row of a (p+1)-face is the set of
-    its p-faces, as bits over the p-face basis.
+    Mod 2 every sign of d vanishes, so the column of a p-face is the set of
+    (p+1)-faces that contain it, as bits over the (p+1)-face basis.
     """
     index = {s: c for c, s in enumerate(complex.faces(p))}
-    return [
-        sum(1 << index[simp[:i] + simp[i + 1 :]] for i in range(len(simp)))
-        for simp in complex.faces(p + 1)
-    ]
-
-
-def _image_bits(complex: SimplicialComplex, p: int) -> list[int]:
-    """Columns of the mod-2 coboundary from degree p, over the (p+1)-face bits."""
-    cols = [0] * len(complex.faces(p))
-    for r, row in enumerate(_coboundary_bits(complex, p)):
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= 1 << r
-            row ^= low
+    cols = [0] * len(index)
+    for r, simp in enumerate(complex.faces(p + 1)):
+        for i in range(len(simp)):
+            cols[index[simp[:i] + simp[i + 1 :]]] |= 1 << r
     return cols
 
 
+def _image_basis(complex: SimplicialComplex, p: int) -> _GF2Basis:
+    """The mod-2 coboundaries of degree p, over the p-face bits (none at p = 0)."""
+    image = _GF2Basis()
+    for col in _coboundary_columns(complex, p - 1) if p > 0 else ():
+        image.insert(col)
+    return image
+
+
 def mod2_cohomology_basis(complex: SimplicialComplex, p: int) -> list[Cochain]:
-    """Representative cocycles spanning H^p with mod-2 coefficients."""
+    """Representative cocycles spanning H^p with mod-2 coefficients.
+
+    The cocycles are the combinations of coboundary columns that reduce to
+    zero; one is kept when it enlarges the span of the coboundaries.
+    """
     p_faces = complex.faces(p)
-    n = len(p_faces)
-    constraints = _GF2Basis(_coboundary_bits(complex, p))
-    image = _GF2Basis(_image_bits(complex, p - 1) if p > 0 else ())
+    columns = _GF2Basis()
+    image = _image_basis(complex, p)
     out = []
-    for vec in constraints.kernel_basis(n):
-        if image.insert(vec):
-            coeffs = {p_faces[c]: 1 for c in range(n) if vec >> c & 1}
+    for c, col in enumerate(_coboundary_columns(complex, p)):
+        rest, cocycle = columns.insert(col, 1 << c)
+        if not rest and image.insert(cocycle)[0]:
+            coeffs = {p_faces[i]: 1 for i in range(len(p_faces)) if cocycle >> i & 1}
             out.append(Cochain(complex, p, coeffs))
     return out
 
 
 def is_mod2_coboundary(x: Cochain) -> bool:
     """Whether a mod-2 cochain is d(something) mod 2."""
-    if x.dim == 0:
-        return x.reduce_mod2().is_zero()
-    faces = x.complex.faces(x.dim)
-    face_index = {s: c for c, s in enumerate(faces)}
+    face_index = {s: c for c, s in enumerate(x.complex.faces(x.dim))}
     bits = 0
     for simp, coeff in x.coeffs.items():
         if coeff % 2:
             bits |= 1 << face_index[simp]
-    return _GF2Basis(_image_bits(x.complex, x.dim - 1)).contains(bits)
+    return not _image_basis(x.complex, x.dim).reduce(bits)[0]
 
 
 def mod2_cohomologous(x: Cochain, y: Cochain) -> bool:

@@ -4,8 +4,6 @@ import pytest
 
 from seqop.berger import (
     PosetElement,
-    contraction_homotopy,
-    contraction_projector,
     enumerate_poset,
     invariant_of,
     leq,
@@ -15,7 +13,35 @@ from seqop.berger import (
 )
 from seqop.combinatorics import Surjection, enumerate_basis
 from seqop.homology import ChainComplexError, homology
-from seqop.operad import OperadElement, benson_homotopy, differential
+from seqop.operad import OperadElement, act, benson_homotopy, differential, iota, retract
+
+
+def _transposition(k, a, b):
+    rho = list(range(1, k + 1))
+    rho[a - 1], rho[b - 1] = rho[b - 1], rho[a - 1]
+    return tuple(rho)
+
+
+def contraction_homotopy(e, i):
+    """The prepend homotopy conjugated to the value i.
+
+    For i = 1 this is the plain contraction; in general the element is
+    relabeled by the transposition (1 i), contracted, and relabeled back,
+    which retracts onto the words that start with i and contain no other i.
+    """
+    if i == 1:
+        return benson_homotopy(e)
+    rho = _transposition(e.arity, 1, i)
+    return act(benson_homotopy(act(e, rho)), rho)
+
+
+def contraction_projector(e, i):
+    """iota o retract conjugated to the value i; the homotopy identity reads
+    d s_i + s_i d = id + (this map) on any subcomplex invariant under s_i."""
+    if i == 1:
+        return iota(retract(e))
+    rho = _transposition(e.arity, 1, i)
+    return act(iota(retract(act(e, rho))), rho)
 
 
 UNIT = PosetElement(1, (), (1,))
@@ -180,8 +206,6 @@ class TestConjugatedContraction:
                 assert word in members or word.degree > 4
 
     def test_action_maps_subcomplex_to_acted_subcomplex(self):
-        from seqop.operad import act
-
         for bt in (PosetElement(2, (1,), (2, 1)), PosetElement(3, (1, 0, 2), (2, 1, 3))):
             k = bt.k
             for rho in itertools.permutations(range(1, k + 1)):

@@ -85,7 +85,10 @@ NONASSOCIATIVE = json.dumps(
 RING_2 = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
 
 RP2 = json.dumps(simplicial.projective_plane().to_json())
-RP2_X = json.dumps(simplicial.mod2_cohomology_basis(simplicial.projective_plane(), 1)[0].to_json())
+# a mod-2 cocycle of RP2 that generates H^1; the golden digests below are of its outputs
+RP2_X = json.dumps(
+    {"dim": 1, "values": [{"simplex": s, "coeff": 1} for s in ([0, 1], [1, 2], [1, 5], [2, 4], [2, 5], [3, 5])]}
+)
 POSET_21 = json.dumps({"k": 2, "b": [{"pair": [1, 2], "val": 1}], "order": [2, 1]})
 
 # Small values for the boundary fuzz: integers stay in -1..3, so that arities

@@ -16,17 +16,14 @@ from seqop.combinatorics import (
     composition_terms,
     enumerate_basis,
     epsilon_parity,
-    epsilon_sign,
     koszul_parity,
     pair_runs,
     partition_size_compositions,
-    perm_compose,
     perm_inverse,
     tau,
     validate,
     word_bases,
     zeta_parity,
-    zeta_sign,
 )
 
 
@@ -206,7 +203,6 @@ class TestPrunedEnumeration:
             walk = word_bases(3, 3, run_caps=caps)
             for d in range(4):
                 want = [f.entries for f in enumerate_basis(3, d) if all(r <= c for r, c in zip(pair_runs(f.entries, 3), caps))]
-                assert [f.entries for f in enumerate_basis(3, d, run_caps=caps)] == want
                 assert [f.entries for f in walk[d]] == want
 
     @pytest.mark.parametrize("k,n", [(0, 0), (1, 2), (2, 1), (2, 3), (3, 2), (4, 2), (3, 4)])
@@ -232,11 +228,11 @@ class TestPrunedEnumeration:
 
     def test_bad_caps_raise(self):
         with pytest.raises(ValueError):
-            enumerate_basis(3, 1, run_caps=(2, 2))
+            word_bases(3, 1, run_caps=(2, 2))
         with pytest.raises(ValueError):
-            enumerate_basis(2, 1, 2, run_caps=(3,))
+            word_bases(2, 1, 2, run_caps=(3,))
         with pytest.raises(ValueError):  # no cap below 0 is met, yet the walk let words through
-            enumerate_basis(3, 0, run_caps=(-1, 5, 5))
+            word_bases(3, 0, run_caps=(-1, 5, 5))
 
 
 # The object-based enumeration that partition_size_compositions and
@@ -357,28 +353,28 @@ class TestPartitions:
 class TestSigns:
     def test_epsilon_increasing_word(self):
         for sizes in partition_size_compositions(4, 2):
-            assert epsilon_sign((1, 2), sizes) == 1
+            assert (-1) ** epsilon_parity((1, 2), sizes) == 1
 
     def test_epsilon_swap(self):
         for sizes in partition_size_compositions(4, 2):
             norms = (sizes[0] - 1) * (sizes[1] - 1)
-            assert epsilon_sign((2, 1), sizes) == (-1) ** norms
+            assert (-1) ** epsilon_parity((2, 1), sizes) == (-1) ** norms
 
     def test_epsilon_worked_example(self):
-        assert epsilon_sign((1, 2, 1), (1, 2, 1)) == -1
+        assert (-1) ** epsilon_parity((1, 2, 1), (1, 2, 1)) == -1
 
     def test_epsilon_piece_mismatch(self):
         with pytest.raises(ValueError):
             epsilon_parity((1, 2), (1, 1, 1))
 
     def test_zeta_identity(self):
-        assert zeta_sign((1, 2, 1, 2), 2, (1, 2)) == 1
+        assert (-1) ** zeta_parity((1, 2, 1, 2), 2, (1, 2)) == 1
 
     def test_zeta_singleton_fibers(self):
-        assert zeta_sign((1, 2), 2, (2, 1)) == 1
+        assert (-1) ** zeta_parity((1, 2), 2, (2, 1)) == 1
 
     def test_zeta_alternating(self):
-        assert zeta_sign((1, 2, 1, 2), 2, (2, 1)) == -1
+        assert (-1) ** zeta_parity((1, 2, 1, 2), 2, (2, 1)) == -1
 
     def test_zeta_is_koszul_on_fiber_norms(self):
         for k in (1, 2, 3):
@@ -396,9 +392,9 @@ class TestSigns:
                         assert koszul_parity(rho, norms) == zeta_parity(f.entries, k, rho) == pairs % 2
 
     def test_perm_helpers(self):
-        rho = (3, 1, 2)
-        assert perm_compose(rho, perm_inverse(rho)) == (1, 2, 3)
-        assert perm_compose(perm_inverse(rho), rho) == (1, 2, 3)
+        for rho in itertools.permutations((1, 2, 3)):
+            rinv = perm_inverse(rho)
+            assert tuple(rho[s - 1] for s in rinv) == tuple(rinv[s - 1] for s in rho) == (1, 2, 3)
 
 
 class TestDiagrams:

@@ -21,7 +21,6 @@ from seqop.hochschild import (
     _eval_word,
     _maximal_segments,
     brace,
-    constant_cochain,
     cup,
     dual_numbers,
     group_ring_c2,
@@ -42,6 +41,11 @@ from seqop.operad import (
 
 RINGS = [dual_numbers(), upper_triangular(), group_ring_c2()]
 DEGREE = attrgetter("degree")
+
+
+def constant_cochain(ring, vector):
+    """A degree-0 cochain: one ring element."""
+    return HochschildCochain(ring, 0, {(): tuple(vector)})
 
 
 def random_cochain(ring, degree, rng):
@@ -443,7 +447,7 @@ class TestThetaReference:
                             if not 0 <= sum(degs) - d <= 2:
                                 continue
                             xs = [random_cochain(ring, p, rng) for p in degs]
-                            got = theta(f, xs)
+                            got = theta(OperadElement.basis(f.entries, k), xs)
                             assert got == reference_theta_basis(f.entries, xs, ring), (f.entries, degs)
                             cases += 1
                             nonzero += not got.is_zero()

@@ -9,11 +9,11 @@ from seqop.homology import (
     ChainComplexError,
     GradedComplex,
     SparseIntMatrix,
+    _Reducer,
     build_word_complex,
     complex_from_word_basis,
     homology,
     invariant_factors,
-    rank,
 )
 
 
@@ -87,7 +87,33 @@ class TestSmith:
             assert invariant_factors(from_dense(dense)) == determinantal_factors(dense)
 
     def test_rank(self):
-        assert rank(from_dense([[1, 2], [2, 4]])) == 1
+        assert len(invariant_factors(from_dense([[1, 2], [2, 4]]))) == 1
+
+    def test_pivot_scan_when_the_shortest_row_has_no_unit(self, monkeypatch):
+        # the shortest live row holds no unit: the whole-matrix scan takes a
+        # unit from another row when there is one, else the least entry
+        picked = []
+        scan = _Reducer._scan_pivot
+
+        def spy(self):
+            r, c = scan(self)
+            picked.append(abs(self.rows[r][c]))
+            return r, c
+
+        monkeypatch.setattr(_Reducer, "_scan_pivot", spy)
+        units_elsewhere = [[2, 0, 0], [1, 3, 5], [0, 1, 7]]
+        no_unit = [[4, 6, 0], [6, 9, 15], [0, 10, 4]]
+        for dense in (units_elsewhere, no_unit):
+            assert invariant_factors(from_dense(dense)) == determinantal_factors(dense)
+        assert picked[0] == 1 and 4 in picked
+
+        rng = random.Random(1)
+        for _ in range(40):
+            r, c = rng.randint(2, 5), rng.randint(2, 5)
+            values = (0, 0, 2, -2, 3, -3, 4, 6, -9) if rng.random() < 0.5 else (0, 0, 2, -3, 4, -6, 1)
+            dense = [[rng.choice(values) for _ in range(c)] for _ in range(r)]
+            assert invariant_factors(from_dense(dense)) == determinantal_factors(dense)
+        assert 1 in picked[2:] and any(v > 1 for v in picked[2:])
 
 
 class TestHomology:

@@ -15,18 +15,16 @@ from seqop.operad import (
     permuted_evaluate,
 )
 from seqop.simplicial import (
-    Chain,
     Cochain,
     NotACocycleError,
     SimplicialComplex,
     TensorChain,
     _coaction_skeleton,
-    boundary,
+    _Valued,
     coaction,
     coboundary,
     cup,
     cup_i,
-    dual_cochain,
     evaluate,
     is_mod2_coboundary,
     mod2_cohomologous,
@@ -40,6 +38,53 @@ from seqop.simplicial import (
 DIM = attrgetter("dim")
 D3 = standard_simplex(3)
 D4 = standard_simplex(4)
+
+
+class Chain(_Valued):
+    """An integer combination of simplices of one dimension."""
+
+
+def boundary(chain: Chain) -> Chain:
+    """Alternating-sum simplicial boundary."""
+    acc: dict = {}
+    for simp, coeff in chain.coeffs.items():
+        for i in range(len(simp)):
+            face = simp[:i] + simp[i + 1 :]
+            if not face:
+                continue
+            sign = -1 if i % 2 else 1
+            acc[face] = acc.get(face, 0) + sign * coeff
+    return Chain(chain.complex, chain.dim - 1, acc)
+
+
+def dual_cochain(complex, simplex):
+    """The indicator cochain of one simplex (a dual basis vector)."""
+    simplex = tuple(simplex)
+    return Cochain(complex, len(simplex) - 1, {simplex: 1})
+
+
+def barycentric_projective_space(n):
+    """RP^n as the barycentric subdivision of the boundary of the cube
+    [-1, 1]^(n+1) modulo x -> -x.  A face of the cube is its vector in
+    {-1, 0, 1}^(n+1) (0 on the free coordinates); a vertex is a pair of
+    antipodal faces, and vertices are numbered by face dimension, so each
+    flag of faces is an ascending simplex."""
+
+    def pair(face):  # the face of the antipodal pair whose first nonzero entry is +1
+        return face if next(v for v in face if v) > 0 else tuple(-v for v in face)
+
+    pairs = {pair(f) for f in itertools.product((-1, 0, 1), repeat=n + 1) if any(f)}
+    index = {f: i for i, f in enumerate(sorted(pairs, key=lambda f: (f.count(0), f)))}
+    flags = set()
+    for corner in itertools.product((-1, 1), repeat=n + 1):
+        for order in itertools.permutations(range(n + 1), n):
+            face = list(corner)
+            flag = [index[pair(tuple(face))]]
+            for i in order:  # free one more coordinate: the next larger face
+                face[i] = 0
+                flag.append(index[pair(tuple(face))])
+            flags.add(tuple(flag))
+    return SimplicialComplex.from_simplices(flags, len(index))
 
 
 def reference_skeleton(p, entries, arity):
@@ -242,6 +287,37 @@ class TestSteenrod:
         rp2 = projective_plane()
         x = mod2_cohomology_basis(rp2, 1)[0]
         assert mod2_cohomologous(steenrod_square(x, 0), x)
+
+
+class TestMod2Cohomology:
+    def test_barycentric_rp3_has_one_class_per_degree(self):
+        rp3 = barycentric_projective_space(3)
+        assert (rp3.n_vertices, len(rp3.faces(3))) == (40, 192)
+        for p in range(4):
+            (x,) = mod2_cohomology_basis(rp3, p)
+            assert coboundary(x).reduce_mod2().is_zero()
+            assert not is_mod2_coboundary(x)
+        assert mod2_cohomology_basis(rp3, 4) == []
+
+    def test_classes_are_independent_modulo_coboundaries(self):
+        # two disjoint circles and a point: H^0 has rank 3 and H^1 rank 2
+        circles = SimplicialComplex.from_simplices([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6,)])
+        for p, rank in ((0, 3), (1, 2)):
+            classes = mod2_cohomology_basis(circles, p)
+            assert len(classes) == rank
+            for r in range(1, rank + 1):
+                for subset in itertools.combinations(classes, r):
+                    total = subset[0]
+                    for x in subset[1:]:
+                        total = total + x
+                    assert not is_mod2_coboundary(total)
+
+    def test_degree_zero_coboundaries_are_the_even_cochains(self):
+        # there are no (-1)-cochains, so only an even 0-cochain is a coboundary
+        assert is_mod2_coboundary(Cochain(D3, 0, {}))
+        assert is_mod2_coboundary(Cochain(D3, 0, {(0,): 2, (2,): -4}))
+        assert not is_mod2_coboundary(Cochain(D3, 0, {(0,): 2, (1,): 3}))
+        assert not is_mod2_coboundary(Cochain(D3, 0, {(v,): 1 for v in range(4)}))
 
 
 class TestOracles:
