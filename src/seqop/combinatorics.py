@@ -50,30 +50,6 @@ def is_int_list(value) -> bool:
     return type(value) is list and all(type(v) is int for v in value)
 
 
-class _DegenerateMarker:
-    """Semantic zero of the basis: degenerate or non-surjective word.
-
-    Distinct from an input error: a degenerate word is a legal value that
-    represents 0, while an out-of-range entry raises InvalidEntryError.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "DEGENERATE"
-
-    def __bool__(self):
-        return False
-
-
-DEGENERATE = _DegenerateMarker()
-
-
 def _word_fault(entries: Sequence[int], arity: int) -> str | None:
     """The one check of a word: None for a basis word, else a message
     template (fields ``entries`` and ``arity``) saying why it is degenerate.
@@ -99,8 +75,9 @@ class Surjection:
 
     ``arity`` is ``k`` and ``entries`` the word ``(u_1, ..., u_m)``.  The
     homological degree is ``m - k``.  Use :func:`validate` to construct
-    from untrusted data; the constructor itself rejects anything that is
-    not surjective and nondegenerate.
+    from untrusted data, which gives None for a degenerate word; the
+    constructor itself rejects anything that is not surjective and
+    nondegenerate.
 
     Internal code that has already proved a word valid builds it with the
     private :meth:`_trusted`, which skips these checks.  The sites, and why
@@ -160,21 +137,21 @@ class Surjection:
         return f"<{''.join(map(str, self.entries)) or 'empty'}>"
 
 
-def validate(entries: Sequence[int], arity: int):
-    """Classify a word: a Surjection, or DEGENERATE (the semantic zero).
+def validate(entries: Sequence[int], arity: int) -> Surjection | None:
+    """Classify a word: a Surjection, or None (the semantic zero).
 
     Entries outside {1..arity} raise InvalidEntryError; a word that is
-    merely non-surjective or has adjacent equal entries returns
-    ``DEGENERATE``, which downstream code treats as 0.
+    merely non-surjective or has adjacent equal entries returns ``None``,
+    which downstream code treats as 0.
 
     >>> validate((1, 2, 1, 2), 2)
     <1212>
-    >>> validate((1, 1, 2), 2)
-    DEGENERATE
+    >>> validate((1, 1, 2), 2) is None
+    True
     """
     entries = tuple(entries)
     if _word_fault(entries, arity):
-        return DEGENERATE
+        return None
     return Surjection._trusted(arity, entries)
 
 

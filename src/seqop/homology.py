@@ -5,21 +5,26 @@ floating shortcuts anywhere.  Each pivot is a unit of the shortest live
 row when that row has one, else the least entry of the whole matrix by
 absolute value and then by a Markowitz-style fill estimate, so a unit
 whenever one exists; this keeps the boundary matrices of the word
-complexes (entries in {-1, 0, 1}) from blowing up.  A pivot that is not a
-unit is first shrunk by the classical divide-and-clear discipline, so the
-diagonal comes out in divisibility order.
+complexes (entries in {-1, 0, 1}) from blowing up.  Elimination is one
+loop: a pivot clears its column by row operations.  The column then holds
+the pivot alone, so reducing the other entries of the pivot row modulo the
+pivot changes no other row; a row the pivot divides leaves the matrix with
+the pivot on the diagonal.  A remainder, in the column or in the row, is
+below the pivot in absolute value and becomes a later pivot.  A gcd/lcm
+pass puts the diagonal in divisibility order.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from .combinatorics import Surjection, boundary_terms, word_bases
 
 
 class ChainComplexError(ValueError):
-    """The differentials do not square to zero."""
+    """The differentials do not compose, or do not square to zero."""
 
 
 class SparseIntMatrix:
@@ -32,42 +37,9 @@ class SparseIntMatrix:
         self.cols = cols
         self.data: dict[int, dict[int, int]] = {}
 
-    def set(self, r: int, c: int, v: int):
-        if not 0 <= r < self.rows or not 0 <= c < self.cols:
-            raise IndexError(f"({r}, {c}) outside {self.rows} x {self.cols}")
-        row = self.data.setdefault(r, {})
-        if v:
-            row[c] = v
-        else:
-            row.pop(c, None)
-            if not row:
-                del self.data[r]
-
     @property
     def nnz(self) -> int:
         return sum(len(row) for row in self.data.values())
-
-    def is_zero(self) -> bool:
-        return not self.data
-
-    def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = SparseIntMatrix(self.rows, other.cols)
-        for r, row in self.data.items():
-            acc: dict[int, int] = {}
-            for mid, v in row.items():
-                for c, w in other.data.get(mid, {}).items():
-                    acc[c] = acc.get(c, 0) + v * w
-            for c, v in acc.items():
-                if v:
-                    out.set(r, c, v)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseIntMatrix):
-            return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self.data == other.data
 
 
 class _Reducer:
@@ -79,17 +51,13 @@ class _Reducer:
         for r, row in self.rows.items():
             for c in row:
                 self.colmap.setdefault(c, set()).add(r)
-        self.factors: list[int] = []
+        self.diagonal: list[int] = []
         self.heap: list[tuple[int, int]] = [(len(row), r) for r, row in self.rows.items()]
         heapq.heapify(self.heap)
 
-    # row/column operations -------------------------------------------------
-
     def _row_add(self, target: int, source: int, q: int):
         """row[target] += q * row[source]"""
-        if q == 0:
-            return
-        trow = self.rows.setdefault(target, {})
+        trow = self.rows[target]
         for c, v in self.rows[source].items():
             new = trow.get(c, 0) + q * v
             if new:
@@ -103,27 +71,6 @@ class _Reducer:
             heapq.heappush(self.heap, (len(trow), target))
         else:
             del self.rows[target]
-
-    def _col_add(self, target: int, source: int, q: int):
-        """col[target] += q * col[source]"""
-        if q == 0:
-            return
-        for r in list(self.colmap.get(source, ())):
-            row = self.rows[r]
-            new = row.get(target, 0) + q * row[source]
-            if new:
-                if target not in row:
-                    self.colmap.setdefault(target, set()).add(r)
-                row[target] = new
-            else:
-                row.pop(target, None)
-                self.colmap[target].discard(r)
-
-    def _negate_row(self, r: int):
-        row = self.rows.get(r)
-        if row:
-            for c in row:
-                row[c] = -row[c]
 
     # pivot selection -------------------------------------------------------
 
@@ -158,83 +105,63 @@ class _Reducer:
 
     # elimination -----------------------------------------------------------
 
-    def _clear_pivot(self, r: int, c: int):
-        """Eliminate row r / column c against a pivot that divides both."""
-        piv = self.rows[r][c]
-        for r2 in list(self.colmap[c]):
-            if r2 != r:
-                self._row_add(r2, r, -(self.rows[r2][c] // piv))
-        for c2 in list(self.rows[r].keys()):
-            if c2 != c:
-                self._col_add(c2, c, -(self.rows[r][c2] // piv))
-
-    def _reduce_general_pivot(self, r: int, c: int) -> tuple[int, int]:
-        """Shrink |pivot| until it divides its row, column, and remainder."""
-        while True:
-            piv = self.rows[r][c]
-            moved = False
-            for r2 in list(self.colmap[c]):
-                if r2 == r:
-                    continue
-                v = self.rows[r2][c]
-                q = v // piv
-                self._row_add(r2, r, -q)
-                if self.rows.get(r2, {}).get(c, 0):
-                    r = r2  # strictly smaller remainder becomes the pivot
-                    moved = True
-                    break
-            if moved:
-                continue
-            piv = self.rows[r][c]
-            for c2 in list(self.rows[r].keys()):
-                if c2 == c:
-                    continue
-                v = self.rows[r][c2]
-                q = v // piv
-                self._col_add(c2, c, -q)
-                if self.rows[r].get(c2, 0):
-                    c = c2
-                    moved = True
-                    break
-            if moved:
-                continue
-            # pivot now divides everything in its row and column; make sure
-            # it divides the rest of the matrix, else absorb a bad row
-            piv = self.rows[r][c]
-            bad = None
-            for r2, row in self.rows.items():
-                if r2 == r:
-                    continue
-                for c2, v in row.items():
-                    if v % piv:
-                        bad = r2
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                return r, c
-            self._row_add(r, bad, 1)
-
     def run(self):
-        while self.rows:
+        """Reduce to nothing, one pivot at a time.  A unit pivot always
+        drops its row.  Any other pivot is the least entry of the matrix,
+        so a turn that leaves a remainder below it lowers the least |entry|
+        of the matrix; between drops it falls strictly, and the loop ends."""
+        rows, colmap = self.rows, self.colmap
+        while rows:
             r, c = self._pick_unit_pivot() or self._scan_pivot()
-            if abs(self.rows[r][c]) != 1:
-                r, c = self._reduce_general_pivot(r, c)
-            if self.rows[r][c] < 0:
-                self._negate_row(r)
-            self._clear_pivot(r, c)
-            self.factors.append(self.rows[r][c])
-            row = self.rows.pop(r)
-            self.colmap[c].discard(r)
+            row = rows[r]
+            piv = row[c]
+            for r2 in list(colmap[c]):
+                if r2 != r:
+                    self._row_add(r2, r, -(rows[r2][c] // piv))
+            if len(colmap[c]) > 1:
+                continue  # a remainder below |piv| is left in column c
+            if piv != 1 and piv != -1:
+                # column c holds the pivot alone, so subtracting multiples
+                # of it from the other columns touches row r only
+                for c2, v in list(row.items()):
+                    if c2 != c:
+                        v %= piv
+                        if v:
+                            row[c2] = v
+                        else:
+                            del row[c2]
+                            colmap[c2].discard(r)
+                if len(row) > 1:
+                    heapq.heappush(self.heap, (len(row), r))
+                    continue
+            self.diagonal.append(abs(piv))
+            del rows[r]
             for c2 in row:
-                self.colmap[c2].discard(r)
+                colmap[c2].discard(r)
+
+
+def _smith_diagonal(diagonal: list[int]) -> list[int]:
+    """Invariant factors of a positive diagonal: the units, then the rest
+    after a gcd/lcm pass that leaves each entry dividing the next."""
+    rest = [v for v in diagonal if v != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            g = math.gcd(rest[i], rest[j])
+            rest[i], rest[j] = g, rest[i] // g * rest[j]
+    return [1] * (len(diagonal) - len(rest)) + rest
 
 
 def invariant_factors(M: SparseIntMatrix) -> list[int]:
-    """The nonzero diagonal of the Smith form, in divisibility order."""
+    """The nonzero diagonal of the Smith form, in divisibility order.
+
+    >>> M = SparseIntMatrix(3, 3)
+    >>> M.data = {0: {0: 4}, 1: {1: 6}, 2: {2: 10}}
+    >>> invariant_factors(M)
+    [2, 2, 60]
+    """
     reducer = _Reducer(M)
     reducer.run()
-    return sorted(reducer.factors, key=abs)
+    return _smith_diagonal(reducer.diagonal)
 
 
 @dataclass(frozen=True)
@@ -272,10 +199,24 @@ class GradedComplex:
         return len(self.bases.get(degree, ()))
 
     def validate(self):
-        """Check that consecutive differentials compose to zero."""
+        """Check that consecutive differentials compose to zero, one row of
+        the lower differential at a time, stopping at the first nonzero."""
         for d in sorted(self.diffs):
-            if d + 1 in self.diffs:
-                if not self.diffs[d].matmul(self.diffs[d + 1]).is_zero():
+            upper = self.diffs.get(d + 1)
+            if upper is None:
+                continue
+            lower = self.diffs[d]
+            if lower.cols != upper.rows:
+                raise ChainComplexError(
+                    f"d{d} ({lower.rows} x {lower.cols}) and d{d + 1} ({upper.rows} x {upper.cols}) do not compose"
+                )
+            upper_rows = upper.data
+            for row in lower.data.values():
+                acc: dict[int, int] = {}
+                for mid, v in row.items():
+                    for c, w in upper_rows.get(mid, {}).items():
+                        acc[c] = acc.get(c, 0) + v * w
+                if any(acc.values()):
                     raise ChainComplexError(f"d o d != 0 between degrees {d + 1} and {d - 1}")
         return self
 

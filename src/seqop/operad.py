@@ -19,7 +19,6 @@ import itertools
 from typing import Iterable, Mapping, Sequence
 
 from .combinatorics import (
-    DEGENERATE,
     InputError,
     Surjection,
     boundary_terms,
@@ -82,9 +81,6 @@ class OperadElement:
 
     def terms(self) -> dict[Surjection, int]:
         return dict(self._terms)
-
-    def coefficient(self, f: Surjection) -> int:
-        return self._terms.get(f, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -207,7 +203,7 @@ def compose(e: OperadElement, inner: Sequence[OperadElement]) -> OperadElement:
                 coeff *= c
             for parity, entries in composition_terms(f, [g for g, _ in combo]):
                 h = validate(entries, out_arity)
-                if h is DEGENERATE:
+                if h is None:
                     continue
                 pairs.append((-coeff if parity else coeff, h))
     return _collect(out_arity, out_degree, pairs)
@@ -260,7 +256,7 @@ def retract(e: OperadElement) -> OperadElement:
         j0 = f.entries.index(1)
         sign = -1 if tau(f.entries)[j0] % 2 else 1
         stripped = validate(tuple(u - 1 for u in f.entries if u != 1), e.arity - 1)
-        if stripped is DEGENERATE:
+        if stripped is None:
             continue
         pairs.append((sign * coeff, stripped))
     return _collect(e.arity - 1, e.degree, pairs)

@@ -266,27 +266,22 @@ def _coaction_skeleton(p: int, entries: tuple[int, ...], arity: int):
     return tuple(out)
 
 
-def coaction(complex: SimplicialComplex, simplex: Sequence[int], f) -> TensorChain:
+def coaction(complex: SimplicialComplex, simplex: Sequence[int], f: Surjection) -> TensorChain:
     """The tensor of faces a word extracts from one simplex.
 
-    ``f`` may be a Surjection or a raw word tuple; each overlapping
-    partition of the vertex positions contributes its signed tuple of
-    faces, degenerate ones (repeated vertices) contributing nothing.
+    Each overlapping partition of the vertex positions contributes its
+    signed tuple of faces, degenerate ones (repeated vertices) contributing
+    nothing.
     """
-    if isinstance(f, Surjection):
-        entries, arity = f.entries, f.arity
-    else:
-        entries = tuple(f)
-        arity = max(entries, default=0)
     simplex = tuple(simplex)
     if not complex.has(simplex):
         _ascending(simplex)  # a malformed simplex is an input error, a missing one is not
         raise ValueError(f"{simplex} is not a simplex of the complex")
     acc: dict = {}
-    for parity, factors in _coaction_skeleton(len(simplex) - 1, entries, arity):
+    for parity, factors in _coaction_skeleton(len(simplex) - 1, f.entries, f.arity):
         key = tuple(tuple(simplex[a] for a in factor) for factor in factors)
         acc[key] = acc.get(key, 0) + (-1 if parity else 1)
-    return TensorChain(complex, arity, acc)
+    return TensorChain(complex, f.arity, acc)
 
 
 def evaluate(e: OperadElement, cochains: Sequence[Cochain]) -> Cochain:
@@ -338,11 +333,6 @@ def evaluate(e: OperadElement, cochains: Sequence[Cochain]) -> Cochain:
             if total:
                 acc[simp] = acc.get(simp, 0) + (-total if global_parity else total)
     return Cochain(complex, out_dim, acc)
-
-
-def cup(x: Cochain, y: Cochain) -> Cochain:
-    """The word (1, 2) applied to (x, y): the signed cup product."""
-    return evaluate(OperadElement.basis((1, 2)), [x, y])
 
 
 def cup_i(x: Cochain, y: Cochain, i: int) -> Cochain:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from seqop import operad
 from seqop.combinatorics import (
-    DEGENERATE,
     InvalidEntryError,
     Surjection,
     boundary_terms,
@@ -51,10 +50,10 @@ class TestValidate:
         assert f.degree == 2
 
     def test_adjacent_equal_is_degenerate(self):
-        assert validate((1, 1, 2), 2) is DEGENERATE
+        assert validate((1, 1, 2), 2) is None
 
     def test_not_surjective_is_degenerate(self):
-        assert validate((1, 1), 2) is DEGENERATE
+        assert validate((1, 1), 2) is None
 
     def test_out_of_range_raises(self):
         with pytest.raises(InvalidEntryError):
@@ -95,7 +94,7 @@ class TestRestrict:
     def test_deleting_a_value_loses_surjectivity(self):
         sub = restrict((1, 2, 3, 1, 2), {1, 2, 4, 5})
         assert sub == (1, 2, 1, 2)
-        assert validate(sub, 3) is DEGENERATE
+        assert validate(sub, 3) is None
 
     def test_full_restriction(self):
         assert restrict((1, 2, 1), range(1, 4)) == (1, 2, 1)
@@ -306,7 +305,7 @@ def reference_compose(e, inner):
                 coeff *= c
             for parity, entries, _, _ in reference_diagrams(f, [g for g, _ in combo]):
                 h = validate(entries, out_arity)
-                if h is not DEGENERATE:
+                if h is not None:
                     acc[h] = acc.get(h, 0) + (-coeff if parity else coeff)
     return operad.OperadElement(out_arity, e.degree + sum(g.degree for g in inner), acc)
 

@@ -21,9 +21,9 @@ def from_dense(dense):
     """A sparse matrix holding the nonzero entries of a dense one."""
     m = SparseIntMatrix(len(dense), len(dense[0]) if dense else 0)
     for r, row in enumerate(dense):
-        for c, v in enumerate(row):
-            if v:
-                m.set(r, c, v)
+        cells = {c: v for c, v in enumerate(row) if v}
+        if cells:
+            m.data[r] = cells
     return m
 
 
@@ -75,6 +75,19 @@ class TestSmith:
         assert invariant_factors(from_dense(dense)) == [2, 4]
         assert determinantal_factors(dense) == [2, 4]
 
+    def test_non_unit_diagonal_and_remainders(self):
+        # a gcd/lcm pass on the diagonal; a remainder left in the pivot row,
+        # then one left in the pivot column
+        cases = [
+            ([[2, 0], [0, 3]], [1, 6]),
+            ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], [2, 2, 60]),
+            ([[2, 3]], [1]),
+            ([[2], [3]], [1]),
+        ]
+        for dense, want in cases:
+            assert invariant_factors(from_dense(dense)) == want
+            assert determinantal_factors(dense) == want
+
     def test_zero_matrix(self):
         assert invariant_factors(SparseIntMatrix(2, 3)) == []
         assert determinantal_factors([[0, 0, 0], [0, 0, 0]]) == []
@@ -122,6 +135,19 @@ class TestHomology:
         groups = homology(C)
         assert groups[0].rank == 0 and groups[0].torsion == (2,)
         assert groups[1].complete is False
+
+    def test_torsion_is_in_divisibility_order(self):
+        C = GradedComplex({0: ("a", "b"), 1: ("c", "d")}, {1: from_dense([[2, 0], [0, 3]])})
+        groups = homology(C)
+        assert groups[0].rank == 0 and groups[0].torsion == (6,)
+
+    def test_shapes_that_do_not_compose_refused(self):
+        bad = GradedComplex(
+            {0: ("a",), 1: ("b", "c"), 2: ("e",)},
+            {1: from_dense([[1, -1]]), 2: from_dense([[1], [1], [0]])},
+        )
+        with pytest.raises(ChainComplexError, match="do not compose"):
+            bad.validate()
 
     def test_square_nonzero_refused(self):
         bad = GradedComplex(
