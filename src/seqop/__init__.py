@@ -10,8 +10,8 @@ Subpackages by subject:
   of the chain-map, equivariance and composition identities of an action.
 - :mod:`seqop.simplicial` - finite complexes, normalized (co)chains, the
   coaction, cup-i products, Steenrod squares, and the equality oracle.
-- :mod:`seqop.homology` - sparse integer Smith reduction and homology of
-  graded word complexes.
+- :mod:`seqop.homology` - unit elimination over a whole complex, sparse
+  integer Smith reduction, and homology of graded word complexes.
 - :mod:`seqop.berger` - the pairwise-complexity poset operad and its
   contractible word subcomplexes.
 - :mod:`seqop.hochschild` - finite rings, normalized Hochschild cochains,

@@ -82,8 +82,8 @@ def criterion_a1() -> CriterionResult:
 
 
 def criterion_a2() -> CriterionResult:
-    """The full word complexes are points: arity 2 and 3 through degree 6,
-    arity 4 through degree 4, by integer Smith reduction."""
+    """The full word complexes are points (arity 2 and 3 through degree 6,
+    arity 4 through degree 4): unit elimination over the whole complex, then Smith."""
     start = time.time()
     jobs = [(2, 6), (3, 6), (4, 4)]
     details = []

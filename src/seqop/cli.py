@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import acceptance, berger, hochschild, homology, operad, simplicial
 from .combinatorics import InputError, Surjection, complexity, enumerate_basis, validate
@@ -66,8 +67,37 @@ def _size(text: str) -> int:
     return value
 
 
+def _dumps(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` byte for byte, with
+    strings, ints, literals and lists of ints encoded at C speed (that
+    call's ``indent`` runs json's pure-Python encoder).  ``pad`` starts each
+    line at obj's depth; anything else goes to ``json.dumps``, re-indented."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = pad + "  "
+    if kind is list:
+        if not obj:
+            return "[]"
+        if all(type(v) is int for v in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = (_dumps(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if kind is dict and all(type(k) is str for k in obj):
+        if not obj:
+            return "{}"
+        items = (encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
+
+
 def _emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_dumps(payload) + "\n")
 
 
 def _homology_json(groups) -> dict:

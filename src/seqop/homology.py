@@ -1,5 +1,10 @@
 """Exact integer homology of finite graded complexes via Smith reduction.
 
+:func:`homology` first eliminates +-1 pairs across all differentials together
+(the Gaussian-elimination lemma, the algebraic form of coreduction:
+Kaczynski-Mrozek-Slusarek 1998, Mrozek-Batko 2009), without the fill of a
+matrix-by-matrix reduction; only the residues go through the Smith reducer.
+
 Matrices are sparse over arbitrary-precision integers; no modular or
 floating shortcuts anywhere.  Each pivot is a unit of the shortest live
 row when that row has one, else the least entry of the whole matrix by
@@ -28,7 +33,11 @@ class ChainComplexError(ValueError):
 
 
 class SparseIntMatrix:
-    """A sparse integer matrix stored as a dict of nonzero rows."""
+    """A sparse integer matrix stored as a dict of nonzero rows.
+
+    No stored entry is ever 0, and no stored row is empty: assembly writes
+    nonzero signs only, and elimination deletes what it cancels.  A stored 0
+    could be picked as a pivot and reach ``v %= piv`` with ``piv == 0``."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -105,6 +114,24 @@ class _Reducer:
 
     # elimination -----------------------------------------------------------
 
+    def _clear(self, r: int, c: int) -> int:
+        """Subtract multiples of row r from the other rows of column c, and
+        return the pivot; a unit pivot leaves it alone in its column."""
+        rows = self.rows
+        piv = rows[r][c]
+        for r2 in list(self.colmap[c]):
+            if r2 != r:
+                self._row_add(r2, r, -(rows[r2][c] // piv))
+        return piv
+
+    def _drop(self, r: int, piv: int) -> dict[int, int]:
+        """Record abs(piv) on the diagonal and delete row r, returning it."""
+        self.diagonal.append(abs(piv))
+        row = self.rows.pop(r)
+        for c2 in row:
+            self.colmap[c2].discard(r)
+        return row
+
     def run(self):
         """Reduce to nothing, one pivot at a time.  A unit pivot always
         drops its row.  Any other pivot is the least entry of the matrix,
@@ -113,11 +140,8 @@ class _Reducer:
         rows, colmap = self.rows, self.colmap
         while rows:
             r, c = self._pick_unit_pivot() or self._scan_pivot()
+            piv = self._clear(r, c)
             row = rows[r]
-            piv = row[c]
-            for r2 in list(colmap[c]):
-                if r2 != r:
-                    self._row_add(r2, r, -(rows[r2][c] // piv))
             if len(colmap[c]) > 1:
                 continue  # a remainder below |piv| is left in column c
             if piv != 1 and piv != -1:
@@ -134,10 +158,7 @@ class _Reducer:
                 if len(row) > 1:
                     heapq.heappush(self.heap, (len(row), r))
                     continue
-            self.diagonal.append(abs(piv))
-            del rows[r]
-            for c2 in row:
-                colmap[c2].discard(r)
+            self._drop(r, piv)
 
 
 def _smith_diagonal(diagonal: list[int]) -> list[int]:
@@ -221,21 +242,91 @@ class GradedComplex:
         return self
 
 
+def _lowest_unit_row(reducers: dict[int, _Reducer]):
+    """(q, r, c): in the lowest degree q that has a unit left, a unit of the
+    shortest row that holds one, with the fewest entries in its column; or
+    None.  A row without a unit leaves its heap: only ``_row_add`` can give
+    it one, and that pushes it again."""
+    for q, red in reducers.items():
+        pick = red._pick_unit_pivot()
+        while pick is None and red.heap:
+            heapq.heappop(red.heap)
+            pick = red._pick_unit_pivot()
+        if pick is not None:
+            return q, *pick
+    return None
+
+
+def _eliminate_units(complex: GradedComplex) -> dict[int, tuple[int, SparseIntMatrix]]:
+    """Gaussian elimination of unit pairs across the whole complex.
+
+    A +-1 pivot at (r, c) of d_q pairs cell c of degree q with cell r of
+    degree q-1: clearing column c by row operations is the Schur update of
+    d_q, then row c of d_{q+1} and column r of d_{q-1} are deleted.  As
+    d o d = 0, row c of d_{q+1} is an integer combination of its other rows
+    and column r of d_{q-1} one of its other columns, so the result is again
+    a complex and each d_q keeps its Smith form less one unit per pair.
+    Singleton columns come first, from a worklist, and cause no fill; then
+    a unit of the lowest degree, whose pivots shrink the next differential
+    up by deleting its rows.  Returns, per degree q, the number of pairs
+    taken in d_q and its residue, in which no unit is left.
+    """
+    reducers = {q: _Reducer(complex.diffs[q]) for q in sorted(complex.diffs)}
+    single = [(q, c) for q, red in reducers.items() for c, rs in red.colmap.items() if len(rs) == 1]
+    while True:
+        if single:
+            q, c = single.pop()
+            red = reducers[q]
+            rs = red.colmap.get(c, ())
+            if len(rs) != 1:
+                continue
+            (r,) = rs
+            if red.rows[r][c] not in (1, -1):
+                continue
+        else:
+            pick = _lowest_unit_row(reducers)
+            if pick is None:
+                break
+            q, r, c = pick
+            red = reducers[q]
+        row = red._drop(r, red._clear(r, c))
+        single += [(q, c2) for c2 in row]
+        up, down = reducers.get(q + 1), reducers.get(q - 1)
+        if up is not None:
+            for c2 in up.rows.pop(c, ()):
+                up.colmap[c2].discard(c)
+                single.append((q + 1, c2))
+        if down is not None:
+            for r2 in down.colmap.pop(r, ()):
+                drow = down.rows[r2]
+                del drow[r]
+                if drow:
+                    heapq.heappush(down.heap, (len(drow), r2))
+                else:
+                    del down.rows[r2]
+    out = {}
+    for q, red in reducers.items():
+        residue = SparseIntMatrix(complex.diffs[q].rows, complex.diffs[q].cols)
+        residue.data = red.rows
+        out[q] = (len(red.diagonal), residue)
+    return out
+
+
 def homology(complex: GradedComplex, max_degree: int | None = None) -> dict[int, HomologyGroup]:
     """Homology groups of a graded complex, degree by degree.
 
-    Checks d o d = 0 first (raising ChainComplexError otherwise).  At the
-    top stored degree the incoming differential is unknown, so the group
-    there is only an upper bound for the kernel and is flagged incomplete
-    rather than silently reported.
+    Checks d o d = 0 first (raising ChainComplexError otherwise), which the
+    unit elimination across the complex needs; the invariant factors of d_q
+    are then one unit per pair eliminated in d_q, followed by those of its
+    residue.  At the top stored degree the incoming differential is
+    unknown, so the group there is only an upper bound for the kernel and
+    is flagged incomplete rather than silently reported.
     """
     complex.validate()
     top = complex.max_degree
     if max_degree is None:
         max_degree = top
-    factors: dict[int, list[int]] = {}
-    for d, M in complex.diffs.items():
-        factors[d] = invariant_factors(M)
+    factors = {q: [1] * n + (invariant_factors(M) if M.data else []) for q, (n, M) in _eliminate_units(complex).items()}
     out = {}
     for q in range(0, min(max_degree, top) + 1):
         rank_q = len(factors.get(q, ())) if q > 0 else 0

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqop import hochschild, simplicial
-from seqop.cli import main
+from seqop.cli import _dumps, main
 
 
 DELTA2 = json.dumps({"vertices": 3, "simplices": [[0, 1, 2]]})
@@ -617,3 +617,35 @@ class TestContract:
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS A5" in out
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text()
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner)
+    | st.lists(st.integers())
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner)
+    | st.dictionaries(st.integers(), inner),
+    max_leaves=30,
+)
+
+
+class TestDumps:
+    @settings(max_examples=150, deadline=None)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_edge_cases(self):
+        cases = [
+            [],
+            {},
+            [[], {}, [[]], {"": {}}],
+            [True, False, None, 0, -1, 1.5],
+            ["\u00e9\u4e2d\U0001f600", "\n\"\\"],
+            {"b": [1, 2, 3], "a": {"z": [True, 1], "y": None}},
+            {2: "x", 10: ["y"]},
+        ]
+        for value in cases:
+            assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)

@@ -8,7 +8,9 @@ from seqop.combinatorics import Surjection
 from seqop.homology import (
     ChainComplexError,
     GradedComplex,
+    HomologyGroup,
     SparseIntMatrix,
+    _eliminate_units,
     _Reducer,
     build_word_complex,
     complex_from_word_basis,
@@ -167,6 +169,131 @@ class TestHomology:
         }
         with pytest.raises(ChainComplexError):
             complex_from_word_basis(bases)
+
+
+def per_differential_homology(C):
+    """The homology formula from one Smith form per differential of C, with
+    no elimination across degrees: the reference for :func:`homology`."""
+    top = C.max_degree
+    factors = {q: invariant_factors(M) for q, M in C.diffs.items()}
+    out = {}
+    for q in range(top + 1):
+        rank_q = len(factors.get(q, ())) if q > 0 else 0
+        above = factors.get(q + 1, []) if q < top else []
+        torsion = tuple(f for f in above if f != 1)
+        out[q] = HomologyGroup(C.dim(q) - rank_q - len(above), torsion, complete=q < top)
+    return out
+
+
+def cyclic_invariants(orders):
+    """Invariant factors of the sum of Z/n over ``orders`` (n in {2, 3, 4,
+    6}): the i-th largest factor takes the i-th largest power of each prime."""
+    powers = {}
+    for n in orders:
+        for p in (2, 3):
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            if e:
+                powers.setdefault(p, []).append(e)
+    out = [1] * max(map(len, powers.values()), default=0)
+    for p, exps in powers.items():
+        for i, e in enumerate(sorted(exps, reverse=True)):
+            out[i] *= p**e
+    return tuple(sorted(out))
+
+
+def random_unimodular(rng, n):
+    """A random integer matrix of determinant +-1 and its inverse."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    V = [row[:] for row in U]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        a = rng.choice((-2, -1, 1, 2))
+        for k in range(n):  # U <- (1 + a e_ij) U, V <- V (1 - a e_ij)
+            U[i][k] += a * U[j][k]
+            V[k][j] -= a * V[k][i]
+    return U, V
+
+
+def matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def torsion_complex(rng, top):
+    """A complex through degree ``top``, conjugated by random unimodular
+    bases, that is a sum of free cells and pieces Z --n--> Z, with its known
+    homology.  Pieces from degree top + 1 are cut away with that degree, so
+    the top group is a truncated upper bound."""
+    free = [rng.randint(0, 2) for _ in range(top + 2)]
+    pieces = [(q, rng.choice((1, 2, 3, 4, 6))) for q in range(1, top + 2) for _ in range(rng.randint(0, 3))]
+    cells = {q: [("free", i) for i in range(free[q])] for q in range(top + 2)}
+    for i, (q, n) in enumerate(pieces):
+        cells[q].append(("x", i))
+        cells[q - 1].append(("y", i))
+    for q in cells:
+        rng.shuffle(cells[q])
+    changes = {q: random_unimodular(rng, len(cells[q])) for q in range(top + 1)}
+    diffs = {}
+    for q in range(1, top + 1):
+        rows, cols = cells[q - 1], cells[q]
+        dense = [[0] * len(cols) for _ in rows]
+        for i, (q2, n) in enumerate(pieces):
+            if q2 == q:
+                dense[rows.index(("y", i))][cols.index(("x", i))] = n
+        if rows and cols:
+            dense = matmul(matmul(changes[q - 1][0], dense), changes[q][1])
+        diffs[q] = SparseIntMatrix(len(rows), len(cols))
+        diffs[q].data = from_dense(dense).data
+    known = {}
+    for q in range(top + 1):
+        if q < top:
+            orders = [n for q2, n in pieces if q2 == q + 1 and n != 1]
+            known[q] = HomologyGroup(free[q], cyclic_invariants(orders))
+        else:
+            cut = sum(1 for q2, _ in pieces if q2 == top + 1)
+            known[q] = HomologyGroup(free[q] + cut, (), complete=False)
+    return GradedComplex({q: cells[q] for q in range(top + 1)}, diffs), known
+
+
+class TestUnitElimination:
+    def test_random_torsion_complexes(self):
+        rng = random.Random(25)
+        left = 0
+        for _ in range(240):
+            C, known = torsion_complex(rng, rng.randint(1, 4))
+            groups = homology(C)
+            assert groups == known
+            assert groups == per_differential_homology(C)
+            for pairs, residue in _eliminate_units(C).values():
+                assert all(v for row in residue.data.values() for v in row.values())
+                left += residue.nnz
+        assert left  # some complexes leave non-unit residues for Smith
+
+    def test_pivot_deletes_its_cells_from_the_neighbouring_differentials(self):
+        # d3 w = 3z - z', d2 z = x + y, d2 z' = 3x + 3y, d1 x = 2a, d1 y = -2a:
+        # the pivot at (z', w) of d3 deletes column z' of d2, and the pivot
+        # at (x, z) of d2 then deletes column x of d1
+        C = GradedComplex(
+            {0: "a", 1: "xy", 2: ("z", "z'"), 3: "w"},
+            {1: from_dense([[2, -2]]), 2: from_dense([[1, 3], [1, 3]]), 3: from_dense([[3], [-1]])},
+        )
+        out = _eliminate_units(C)
+        assert [(pairs, residue.data) for _, (pairs, residue) in sorted(out.items())] == [(0, {0: {1: -2}}), (1, {}), (1, {})]
+        # d3 w = 2z - 2z', d2 z = d2 z' = x: the pivot at (x, z') of d2 deletes row z' of d3
+        C = GradedComplex({1: "x", 2: ("z", "z'"), 3: "w"}, {2: from_dense([[1, 1]]), 3: from_dense([[2], [-2]])})
+        out = _eliminate_units(C)
+        assert [(pairs, residue.nnz) for _, (pairs, residue) in sorted(out.items())] == [(1, 0), (0, 1)]
+        assert homology(C)[2] == HomologyGroup(0, (2,))
+
+    def test_residues_hold_no_zero(self):
+        # the Schur update of the pivot at (0, 0) cancels the entry at (1, 1);
+        # a stored 0 there could become a zero pivot in invariant_factors
+        C = GradedComplex({0: ("a", "b"), 1: ("x", "y", "z")}, {1: from_dense([[1, 1, 2], [1, 1, 4]])})
+        ((pairs, residue),) = _eliminate_units(C).values()
+        assert pairs == 1 and residue.data == {1: {2: 2}}
+        groups = homology(C)
+        assert groups[0] == HomologyGroup(0, (2,)) and groups[1].rank == 1
 
 
 class TestWordComplexes:
