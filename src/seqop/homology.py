@@ -16,7 +16,8 @@ the pivot alone, so reducing the other entries of the pivot row modulo the
 pivot changes no other row; a row the pivot divides leaves the matrix with
 the pivot on the diagonal.  A remainder, in the column or in the row, is
 below the pivot in absolute value and becomes a later pivot.  A gcd/lcm
-pass puts the diagonal in divisibility order.
+pass puts the diagonal in divisibility order.  No step copies the complex:
+input rows are shared until their first write, and no input is mutated.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ class SparseIntMatrix:
 
     No stored entry is ever 0, and no stored row is empty: assembly writes
     nonzero signs only, and elimination deletes what it cancels.  A stored 0
-    could be picked as a pivot and reach ``v %= piv`` with ``piv == 0``."""
+    could be picked as a pivot and reach ``v %= piv`` with ``piv == 0``.
+    Reduction never mutates a matrix; a residue it returns may share rows
+    with the input."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -52,30 +55,40 @@ class SparseIntMatrix:
 
 
 class _Reducer:
-    """Sparse elimination engine that records the Smith diagonal."""
+    """Sparse elimination engine that records the Smith diagonal.  ``rows``
+    shares the input's rows, each copied on its first write (:meth:`_own`),
+    so the input is never mutated; ``colmap`` lists each column's rows."""
 
     def __init__(self, M: SparseIntMatrix):
-        self.rows = {r: dict(row) for r, row in M.data.items()}
-        self.colmap: dict[int, set[int]] = {}
+        self.shared = M.data
+        self.rows = dict(M.data)
+        self.colmap: dict[int, list[int]] = {}
         for r, row in self.rows.items():
             for c in row:
-                self.colmap.setdefault(c, set()).add(r)
+                self.colmap.setdefault(c, []).append(r)
         self.diagonal: list[int] = []
         self.heap: list[tuple[int, int]] = [(len(row), r) for r, row in self.rows.items()]
         heapq.heapify(self.heap)
 
+    def _own(self, r: int) -> dict[int, int]:
+        """Row r, copied from the input matrix on its first write."""
+        row = self.rows[r]
+        if row is self.shared.get(r):
+            row = self.rows[r] = dict(row)
+        return row
+
     def _row_add(self, target: int, source: int, q: int):
         """row[target] += q * row[source]"""
-        trow = self.rows[target]
+        trow = self._own(target)
         for c, v in self.rows[source].items():
             new = trow.get(c, 0) + q * v
             if new:
                 if c not in trow:
-                    self.colmap.setdefault(c, set()).add(target)
+                    self.colmap.setdefault(c, []).append(target)
                 trow[c] = new
             else:
-                trow.pop(c, None)
-                self.colmap[c].discard(target)
+                del trow[c]
+                self.colmap[c].remove(target)
         if trow:
             heapq.heappush(self.heap, (len(trow), target))
         else:
@@ -120,8 +133,9 @@ class _Reducer:
         rows = self.rows
         piv = rows[r][c]
         for r2 in list(self.colmap[c]):
-            if r2 != r:
-                self._row_add(r2, r, -(rows[r2][c] // piv))
+            q = rows[r2][c] // piv
+            if r2 != r and q:
+                self._row_add(r2, r, -q)
         return piv
 
     def _drop(self, r: int, piv: int) -> dict[int, int]:
@@ -129,7 +143,7 @@ class _Reducer:
         self.diagonal.append(abs(piv))
         row = self.rows.pop(r)
         for c2 in row:
-            self.colmap[c2].discard(r)
+            self.colmap[c2].remove(r)
         return row
 
     def run(self):
@@ -141,10 +155,10 @@ class _Reducer:
         while rows:
             r, c = self._pick_unit_pivot() or self._scan_pivot()
             piv = self._clear(r, c)
-            row = rows[r]
             if len(colmap[c]) > 1:
                 continue  # a remainder below |piv| is left in column c
             if piv != 1 and piv != -1:
+                row = self._own(r)
                 # column c holds the pivot alone, so subtracting multiples
                 # of it from the other columns touches row r only
                 for c2, v in list(row.items()):
@@ -154,7 +168,7 @@ class _Reducer:
                             row[c2] = v
                         else:
                             del row[c2]
-                            colmap[c2].discard(r)
+                            colmap[c2].remove(r)
                 if len(row) > 1:
                     heapq.heappush(self.heap, (len(row), r))
                     continue
@@ -294,11 +308,11 @@ def _eliminate_units(complex: GradedComplex) -> dict[int, tuple[int, SparseIntMa
         up, down = reducers.get(q + 1), reducers.get(q - 1)
         if up is not None:
             for c2 in up.rows.pop(c, ()):
-                up.colmap[c2].discard(c)
+                up.colmap[c2].remove(c)
                 single.append((q + 1, c2))
         if down is not None:
             for r2 in down.colmap.pop(r, ()):
-                drow = down.rows[r2]
+                drow = down._own(r2)
                 del drow[r]
                 if drow:
                     heapq.heappush(down.heap, (len(drow), r2))

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -129,6 +130,31 @@ class TestSmith:
             dense = [[rng.choice(values) for _ in range(c)] for _ in range(r)]
             assert invariant_factors(from_dense(dense)) == determinantal_factors(dense)
         assert 1 in picked[2:] and any(v > 1 for v in picked[2:])
+
+    def test_column_index_is_the_transpose_of_the_rows(self, monkeypatch):
+        # before every drop, each column list holds exactly the live rows
+        # with an entry in that column, each once
+        drop = _Reducer._drop
+        drops = []
+
+        def spy(self, r, piv):
+            transpose = {}
+            for r2, row in self.rows.items():
+                for c in row:
+                    transpose.setdefault(c, []).append(r2)
+            assert set(transpose) <= set(self.colmap)
+            for c, rs in self.colmap.items():
+                assert sorted(rs) == sorted(set(rs)) == sorted(transpose.get(c, []))
+            drops.append(abs(piv))
+            return drop(self, r, piv)
+
+        monkeypatch.setattr(_Reducer, "_drop", spy)
+        rng = random.Random(26)
+        for _ in range(300):
+            r, c = rng.randint(1, 6), rng.randint(1, 6)
+            dense = [[rng.choice((0, 0, 1, -1, 2, -2, 3, 4, -6, 9)) for _ in range(c)] for _ in range(r)]
+            assert invariant_factors(from_dense(dense)) == determinantal_factors(dense)
+        assert len(drops) > 600 and any(v > 1 for v in drops)
 
 
 class TestHomology:
@@ -285,6 +311,23 @@ class TestUnitElimination:
         out = _eliminate_units(C)
         assert [(pairs, residue.nnz) for _, (pairs, residue) in sorted(out.items())] == [(1, 0), (0, 1)]
         assert homology(C)[2] == HomologyGroup(0, (2,))
+
+    def test_inputs_are_not_mutated(self):
+        # rows are shared with the input until their first write: Schur
+        # updates, downward column deletions and non-unit row reductions
+        # each write a copy, never the complex's own rows
+        rng = random.Random(25)
+        complexes = [torsion_complex(rng, rng.randint(1, 4))[0] for _ in range(240)]
+        complexes.append(build_word_complex(4, None, 3))
+        for C in complexes:
+            before = copy.deepcopy({q: M.data for q, M in C.diffs.items()})
+            homology(C)
+            assert {q: M.data for q, M in C.diffs.items()} == before
+            _eliminate_units(C)
+            assert {q: M.data for q, M in C.diffs.items()} == before
+            for M in C.diffs.values():
+                invariant_factors(M)
+            assert {q: M.data for q, M in C.diffs.items()} == before
 
     def test_residues_hold_no_zero(self):
         # the Schur update of the pivot at (0, 0) cancels the entry at (1, 1);
