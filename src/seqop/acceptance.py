@@ -17,7 +17,7 @@ from operator import attrgetter
 from . import berger, hochschild, operad, simplicial
 from .combinatorics import boundary_terms, enumerate_basis, word_bases
 from .homology import ChainComplexError, build_word_complex, homology
-from .operad import OperadElement
+from .operad import OperadElement, contract_word
 
 
 @dataclass(frozen=True)
@@ -180,24 +180,20 @@ def criterion_a3() -> CriterionResult:
 
 
 def criterion_a4() -> CriterionResult:
-    """The contraction identity d s + s d = id + iota o retract, exactly,
-    on every basis word with arity <= 4 and degree <= 6."""
+    """The operad's contraction identity d s + s d = id + iota o retract,
+    exactly, on every basis word with arity <= 4 and degree <= 6."""
     start = time.time()
-
-    def s_word(w):
-        return None if w[0] == 1 else (1,) + w
-
     checked = 0
     for k in (1, 2, 3, 4):
         for f in itertools.chain.from_iterable(word_bases(k, 6).values()):
             entries = f.entries
             acc: dict = {}
-            sw = s_word(entries)
+            sw = contract_word(entries)
             if sw is not None:
                 for sign, sub in boundary_terms(sw):
                     acc[sub] = acc.get(sub, 0) + sign
             for sign, sub in boundary_terms(entries):
-                ssub = s_word(sub)
+                ssub = contract_word(sub)
                 if ssub is not None:
                     acc[ssub] = acc.get(ssub, 0) + sign
             # expected: id + iota(retract): the word itself, plus, when it has

@@ -90,8 +90,9 @@ class Surjection:
       that leaves an adjacent-equal pair or loses a value;
     - ``operad.act``: relabeling by a permutation of {1..k} keeps both
       properties;
-    - ``operad.benson_homotopy``: prepending 1 to a nonempty word that does
-      not start with 1 adds no value and no equal neighbours;
+    - ``operad.benson_homotopy``, by ``operad.contract_word``: prepending 1
+      to a nonempty word that does not start with 1 adds no value and no
+      equal neighbours;
     - ``operad.iota``: shifting up by one and prepending 1 hits 1..k+1 and
       puts 1 before an entry >= 2.
 

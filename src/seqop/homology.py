@@ -1,16 +1,16 @@
 """Exact integer homology of finite graded complexes via Smith reduction.
 
-:func:`homology` first eliminates +-1 pairs across all differentials together
-(the Gaussian-elimination lemma, the algebraic form of coreduction:
-Kaczynski-Mrozek-Slusarek 1998, Mrozek-Batko 2009), without the fill of a
-matrix-by-matrix reduction; only the residues go through the Smith reducer.
+:func:`homology` and :func:`invariant_factors` share one reducer per
+differential.  A unit pass first eliminates +-1 pairs across all
+differentials together (the Gaussian-elimination lemma, the algebraic form
+of coreduction: Kaczynski-Mrozek-Slusarek 1998, Mrozek-Batko 2009), without
+the fill of a matrix-by-matrix reduction; a Smith loop then finishes each
+differential from what the pass left, which holds no unit.
 
 Matrices are sparse over arbitrary-precision integers; no modular or
-floating shortcuts anywhere.  Each pivot is a unit of the shortest live
-row when that row has one, else the least entry of the whole matrix by
-absolute value and then by a Markowitz-style fill estimate, so a unit
-whenever one exists; this keeps the boundary matrices of the word
-complexes (entries in {-1, 0, 1}) from blowing up.  Elimination is one
+floating shortcuts anywhere.  Each pivot of the Smith loop is the least
+entry of the matrix by absolute value and then by a Markowitz-style fill
+estimate, so a unit whenever a remainder has made one.  Elimination is one
 loop: a pivot clears its column by row operations.  The column then holds
 the pivot alone, so reducing the other entries of the pivot row modulo the
 pivot changes no other row; a row the pivot divides leaves the matrix with
@@ -39,8 +39,8 @@ class SparseIntMatrix:
     No stored entry is ever 0, and no stored row is empty: assembly writes
     nonzero signs only, and elimination deletes what it cancels.  A stored 0
     could be picked as a pivot and reach ``v %= piv`` with ``piv == 0``.
-    Reduction never mutates a matrix; a residue it returns may share rows
-    with the input."""
+    Reduction never mutates a matrix: its reducer shares the matrix's rows
+    until their first write."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -55,9 +55,10 @@ class SparseIntMatrix:
 
 
 class _Reducer:
-    """Sparse elimination engine that records the Smith diagonal.  ``rows``
-    shares the input's rows, each copied on its first write (:meth:`_own`),
-    so the input is never mutated; ``colmap`` lists each column's rows."""
+    """Sparse elimination engine for one differential, recording its Smith
+    diagonal.  ``rows`` shares the input's rows, each copied on its first
+    write (:meth:`_own`), so the input is never mutated; ``colmap`` lists
+    each column's rows, and ``heap`` the rows by length for the unit pass."""
 
     def __init__(self, M: SparseIntMatrix):
         self.shared = M.data
@@ -96,22 +97,20 @@ class _Reducer:
 
     # pivot selection -------------------------------------------------------
 
-    def _pick_unit_pivot(self):
-        """A +-1 entry of the shortest live row with the fewest entries in
-        its column, or None when that row has no unit."""
-        while self.heap:
-            length, r = self.heap[0]
+    def _unit_pivot(self):
+        """A +-1 entry of the shortest row that holds one, with the fewest
+        entries in its column, or None.  A row without a unit leaves the
+        heap: only :meth:`_row_add` can give it one, and that pushes it
+        again."""
+        heap = self.heap
+        while heap:
+            length, r = heap[0]
             row = self.rows.get(r)
-            if row is None or len(row) != length:
-                heapq.heappop(self.heap)
-                continue
-            best = None
-            for c, v in row.items():
-                if v == 1 or v == -1:
-                    score = len(self.colmap[c])
-                    if best is None or score < best[0]:
-                        best = (score, r, c)
-            return (best[1], best[2]) if best else None
+            if row is not None and len(row) == length:
+                units = [c for c, v in row.items() if v == 1 or v == -1]
+                if units:
+                    return r, min(units, key=lambda c: len(self.colmap[c]))
+            heapq.heappop(heap)
         return None
 
     def _scan_pivot(self):
@@ -147,13 +146,13 @@ class _Reducer:
         return row
 
     def run(self):
-        """Reduce to nothing, one pivot at a time.  A unit pivot always
-        drops its row.  Any other pivot is the least entry of the matrix,
-        so a turn that leaves a remainder below it lowers the least |entry|
-        of the matrix; between drops it falls strictly, and the loop ends."""
+        """Reduce to nothing, one pivot at a time.  Each pivot is the least
+        entry of the matrix, so a turn that leaves a remainder below it
+        lowers the least |entry|; a unit pivot always drops its row, so
+        between drops the least |entry| falls strictly, and the loop ends."""
         rows, colmap = self.rows, self.colmap
         while rows:
-            r, c = self._pick_unit_pivot() or self._scan_pivot()
+            r, c = self._scan_pivot()
             piv = self._clear(r, c)
             if len(colmap[c]) > 1:
                 continue  # a remainder below |piv| is left in column c
@@ -170,7 +169,6 @@ class _Reducer:
                             del row[c2]
                             colmap[c2].remove(r)
                 if len(row) > 1:
-                    heapq.heappush(self.heap, (len(row), r))
                     continue
             self._drop(r, piv)
 
@@ -187,16 +185,16 @@ def _smith_diagonal(diagonal: list[int]) -> list[int]:
 
 
 def invariant_factors(M: SparseIntMatrix) -> list[int]:
-    """The nonzero diagonal of the Smith form, in divisibility order.
+    """The nonzero diagonal of the Smith form, in divisibility order.  A
+    single matrix has no neighbouring differential, so its unit pass is
+    plain unit elimination.
 
     >>> M = SparseIntMatrix(3, 3)
     >>> M.data = {0: {0: 4}, 1: {1: 6}, 2: {2: 10}}
     >>> invariant_factors(M)
     [2, 2, 60]
     """
-    reducer = _Reducer(M)
-    reducer.run()
-    return _smith_diagonal(reducer.diagonal)
+    return _smith_forms({0: M})[0]
 
 
 @dataclass(frozen=True)
@@ -256,23 +254,8 @@ class GradedComplex:
         return self
 
 
-def _lowest_unit_row(reducers: dict[int, _Reducer]):
-    """(q, r, c): in the lowest degree q that has a unit left, a unit of the
-    shortest row that holds one, with the fewest entries in its column; or
-    None.  A row without a unit leaves its heap: only ``_row_add`` can give
-    it one, and that pushes it again."""
-    for q, red in reducers.items():
-        pick = red._pick_unit_pivot()
-        while pick is None and red.heap:
-            heapq.heappop(red.heap)
-            pick = red._pick_unit_pivot()
-        if pick is not None:
-            return q, *pick
-    return None
-
-
-def _eliminate_units(complex: GradedComplex) -> dict[int, tuple[int, SparseIntMatrix]]:
-    """Gaussian elimination of unit pairs across the whole complex.
+def _eliminate_units(diffs: dict[int, SparseIntMatrix]) -> dict[int, _Reducer]:
+    """Gaussian elimination of unit pairs across differentials d_q keyed by q.
 
     A +-1 pivot at (r, c) of d_q pairs cell c of degree q with cell r of
     degree q-1: clearing column c by row operations is the Schur update of
@@ -282,10 +265,10 @@ def _eliminate_units(complex: GradedComplex) -> dict[int, tuple[int, SparseIntMa
     a complex and each d_q keeps its Smith form less one unit per pair.
     Singleton columns come first, from a worklist, and cause no fill; then
     a unit of the lowest degree, whose pivots shrink the next differential
-    up by deleting its rows.  Returns, per degree q, the number of pairs
-    taken in d_q and its residue, in which no unit is left.
+    up by deleting its rows.  Returns the reducers in degree order, each
+    with a 1 on its diagonal per pair taken in d_q and no unit left.
     """
-    reducers = {q: _Reducer(complex.diffs[q]) for q in sorted(complex.diffs)}
+    reducers = {q: _Reducer(diffs[q]) for q in sorted(diffs)}
     single = [(q, c) for q, red in reducers.items() for c, rs in red.colmap.items() if len(rs) == 1]
     while True:
         if single:
@@ -298,11 +281,13 @@ def _eliminate_units(complex: GradedComplex) -> dict[int, tuple[int, SparseIntMa
             if red.rows[r][c] not in (1, -1):
                 continue
         else:
-            pick = _lowest_unit_row(reducers)
-            if pick is None:
-                break
-            q, r, c = pick
-            red = reducers[q]
+            for q, red in reducers.items():
+                pick = red._unit_pivot()
+                if pick:
+                    break
+            else:
+                return reducers
+            r, c = pick
         row = red._drop(r, red._clear(r, c))
         single += [(q, c2) for c2 in row]
         up, down = reducers.get(q + 1), reducers.get(q - 1)
@@ -311,36 +296,42 @@ def _eliminate_units(complex: GradedComplex) -> dict[int, tuple[int, SparseIntMa
                 up.colmap[c2].remove(c)
                 single.append((q + 1, c2))
         if down is not None:
+            # d_{q-1} holds no unit here: a singleton's column r there is
+            # empty, and any other pivot comes after the lower degrees ran
+            # out of units, so these rows need no new heap entry
             for r2 in down.colmap.pop(r, ()):
                 drow = down._own(r2)
                 del drow[r]
-                if drow:
-                    heapq.heappush(down.heap, (len(drow), r2))
-                else:
+                if not drow:
                     del down.rows[r2]
-    out = {}
-    for q, red in reducers.items():
-        residue = SparseIntMatrix(complex.diffs[q].rows, complex.diffs[q].cols)
-        residue.data = red.rows
-        out[q] = (len(red.diagonal), residue)
-    return out
+
+
+def _smith_forms(diffs: dict[int, SparseIntMatrix]) -> dict[int, list[int]]:
+    """The invariant factors of each differential: the unit pass across all
+    of them, then the Smith loop on each reducer.  The loop never feeds back
+    into the pass: its column operations on d_q (reducing a pivot row
+    modulo the pivot) are not mirrored in d_{q+1}, so a cross-degree
+    deletion after them would be invalid."""
+    reducers = _eliminate_units(diffs)
+    for red in reducers.values():
+        red.run()
+    return {q: _smith_diagonal(red.diagonal) for q, red in reducers.items()}
 
 
 def homology(complex: GradedComplex, max_degree: int | None = None) -> dict[int, HomologyGroup]:
     """Homology groups of a graded complex, degree by degree.
 
     Checks d o d = 0 first (raising ChainComplexError otherwise), which the
-    unit elimination across the complex needs; the invariant factors of d_q
-    are then one unit per pair eliminated in d_q, followed by those of its
-    residue.  At the top stored degree the incoming differential is
-    unknown, so the group there is only an upper bound for the kernel and
-    is flagged incomplete rather than silently reported.
+    unit pass across the complex needs; a Smith loop per differential then
+    finishes each d_q.  At the top stored degree the incoming differential
+    is unknown, so the group there is only an upper bound for the kernel
+    and is flagged incomplete rather than silently reported.
     """
     complex.validate()
     top = complex.max_degree
     if max_degree is None:
         max_degree = top
-    factors = {q: [1] * n + (invariant_factors(M) if M.data else []) for q, (n, M) in _eliminate_units(complex).items()}
+    factors = _smith_forms(complex.diffs)
     out = {}
     for q in range(0, min(max_degree, top) + 1):
         rank_q = len(factors.get(q, ())) if q > 0 else 0

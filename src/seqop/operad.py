@@ -209,8 +209,14 @@ def compose(e: OperadElement, inner: Sequence[OperadElement]) -> OperadElement:
     return _collect(out_arity, out_degree, pairs)
 
 
+def contract_word(w: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The contraction on one nonempty word: 1 prepended, or None when the
+    word starts with 1, where the result would be degenerate."""
+    return None if w[0] == 1 else (1,) + w
+
+
 def benson_homotopy(e: OperadElement) -> OperadElement:
-    """The contraction: prepend a 1 to every word (degenerate results die).
+    """The contraction: :func:`contract_word` on every word.
 
     Together with :func:`iota` and :func:`retract` it satisfies
     d s + s d = id + iota o retract exactly.  Arity 0 is refused: its one
@@ -220,9 +226,9 @@ def benson_homotopy(e: OperadElement) -> OperadElement:
         raise ArityMismatchError("benson_homotopy needs arity >= 1")
     pairs = []
     for f, coeff in e._terms.items():
-        if f.entries[0] == 1:
-            continue
-        pairs.append((coeff, Surjection._trusted(f.arity, (1,) + f.entries)))
+        sw = contract_word(f.entries)
+        if sw is not None:
+            pairs.append((coeff, Surjection._trusted(f.arity, sw)))
     return _collect(e.arity, e.degree + 1, pairs)
 
 

@@ -106,8 +106,8 @@ class TestSmith:
         assert len(invariant_factors(from_dense([[1, 2], [2, 4]]))) == 1
 
     def test_pivot_scan_when_the_shortest_row_has_no_unit(self, monkeypatch):
-        # the shortest live row holds no unit: the whole-matrix scan takes a
-        # unit from another row when there is one, else the least entry
+        # the unit pass takes every unit there is; the Smith loop's scan then
+        # picks the least entry, a unit whenever a remainder has made one
         picked = []
         scan = _Reducer._scan_pivot
 
@@ -117,11 +117,15 @@ class TestSmith:
             return r, c
 
         monkeypatch.setattr(_Reducer, "_scan_pivot", spy)
+        # the pass pivots on (2, 1), then on (1, 0), which leaves 32 at (0, 2)
         units_elsewhere = [[2, 0, 0], [1, 3, 5], [0, 1, 7]]
+        assert invariant_factors(from_dense(units_elsewhere)) == determinantal_factors(units_elsewhere) == [1, 1, 32]
+        assert picked[0] == 32
+        picked.clear()
         no_unit = [[4, 6, 0], [6, 9, 15], [0, 10, 4]]
-        for dense in (units_elsewhere, no_unit):
-            assert invariant_factors(from_dense(dense)) == determinantal_factors(dense)
-        assert picked[0] == 1 and 4 in picked
+        assert invariant_factors(from_dense(no_unit)) == determinantal_factors(no_unit)
+        assert picked[0] == 4
+        picked.clear()
 
         rng = random.Random(1)
         for _ in range(40):
@@ -129,7 +133,7 @@ class TestSmith:
             values = (0, 0, 2, -2, 3, -3, 4, 6, -9) if rng.random() < 0.5 else (0, 0, 2, -3, 4, -6, 1)
             dense = [[rng.choice(values) for _ in range(c)] for _ in range(r)]
             assert invariant_factors(from_dense(dense)) == determinantal_factors(dense)
-        assert 1 in picked[2:] and any(v > 1 for v in picked[2:])
+        assert 1 in picked and any(v > 1 for v in picked)
 
     def test_column_index_is_the_transpose_of_the_rows(self, monkeypatch):
         # before every drop, each column list holds exactly the live rows
@@ -282,8 +286,25 @@ def torsion_complex(rng, top):
     return GradedComplex({q: cells[q] for q in range(top + 1)}, diffs), known
 
 
+def assert_no_unit_and_no_zero(red):
+    """The unit pass's postcondition on one reducer; returns its entries."""
+    entries = [v for row in red.rows.values() for v in row.values()]
+    assert all(v not in (0, 1, -1) for v in entries)
+    return len(entries)
+
+
 class TestUnitElimination:
-    def test_random_torsion_complexes(self):
+    def test_random_torsion_complexes(self, monkeypatch):
+        # every Smith loop starts from a residue without units, in homology
+        # and in the single-matrix passes of the invariant_factors reference
+        run = _Reducer.run
+        runs = []
+
+        def spy(self):
+            runs.append(assert_no_unit_and_no_zero(self))
+            return run(self)
+
+        monkeypatch.setattr(_Reducer, "run", spy)
         rng = random.Random(25)
         left = 0
         for _ in range(240):
@@ -291,10 +312,10 @@ class TestUnitElimination:
             groups = homology(C)
             assert groups == known
             assert groups == per_differential_homology(C)
-            for pairs, residue in _eliminate_units(C).values():
-                assert all(v for row in residue.data.values() for v in row.values())
-                left += residue.nnz
+            for red in _eliminate_units(C.diffs).values():
+                left += assert_no_unit_and_no_zero(red)
         assert left  # some complexes leave non-unit residues for Smith
+        assert len(runs) > 480 and any(runs)
 
     def test_pivot_deletes_its_cells_from_the_neighbouring_differentials(self):
         # d3 w = 3z - z', d2 z = x + y, d2 z' = 3x + 3y, d1 x = 2a, d1 y = -2a:
@@ -304,12 +325,12 @@ class TestUnitElimination:
             {0: "a", 1: "xy", 2: ("z", "z'"), 3: "w"},
             {1: from_dense([[2, -2]]), 2: from_dense([[1, 3], [1, 3]]), 3: from_dense([[3], [-1]])},
         )
-        out = _eliminate_units(C)
-        assert [(pairs, residue.data) for _, (pairs, residue) in sorted(out.items())] == [(0, {0: {1: -2}}), (1, {}), (1, {})]
+        out = _eliminate_units(C.diffs)
+        assert [(len(red.diagonal), red.rows) for red in out.values()] == [(0, {0: {1: -2}}), (1, {}), (1, {})]
         # d3 w = 2z - 2z', d2 z = d2 z' = x: the pivot at (x, z') of d2 deletes row z' of d3
         C = GradedComplex({1: "x", 2: ("z", "z'"), 3: "w"}, {2: from_dense([[1, 1]]), 3: from_dense([[2], [-2]])})
-        out = _eliminate_units(C)
-        assert [(pairs, residue.nnz) for _, (pairs, residue) in sorted(out.items())] == [(1, 0), (0, 1)]
+        out = _eliminate_units(C.diffs)
+        assert [(len(red.diagonal), len(red.rows)) for red in out.values()] == [(1, 0), (0, 1)]
         assert homology(C)[2] == HomologyGroup(0, (2,))
 
     def test_inputs_are_not_mutated(self):
@@ -323,7 +344,7 @@ class TestUnitElimination:
             before = copy.deepcopy({q: M.data for q, M in C.diffs.items()})
             homology(C)
             assert {q: M.data for q, M in C.diffs.items()} == before
-            _eliminate_units(C)
+            _eliminate_units(C.diffs)
             assert {q: M.data for q, M in C.diffs.items()} == before
             for M in C.diffs.values():
                 invariant_factors(M)
@@ -331,10 +352,10 @@ class TestUnitElimination:
 
     def test_residues_hold_no_zero(self):
         # the Schur update of the pivot at (0, 0) cancels the entry at (1, 1);
-        # a stored 0 there could become a zero pivot in invariant_factors
+        # a stored 0 there could become a zero pivot in the Smith loop
         C = GradedComplex({0: ("a", "b"), 1: ("x", "y", "z")}, {1: from_dense([[1, 1, 2], [1, 1, 4]])})
-        ((pairs, residue),) = _eliminate_units(C).values()
-        assert pairs == 1 and residue.data == {1: {2: 2}}
+        (red,) = _eliminate_units(C.diffs).values()
+        assert red.diagonal == [1] and red.rows == {1: {2: 2}}
         groups = homology(C)
         assert groups[0] == HomologyGroup(0, (2,)) and groups[1].rank == 1
 

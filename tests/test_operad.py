@@ -12,6 +12,7 @@ from seqop.operad import (
     benson_homotopy,
     complexity_bound,
     compose,
+    contract_word,
     differential,
     iota,
     retract,
@@ -220,6 +221,8 @@ class TestContraction:
     def test_prepend_examples(self):
         assert benson_homotopy(basis(2, 1)) == basis(1, 2, 1)
         assert benson_homotopy(basis(1, 2, 1)).is_zero()
+        # the same word rule that A4 applies to entry tuples
+        assert contract_word((2, 1)) == (1, 2, 1) and contract_word((1, 2, 1)) is None
         with pytest.raises(ArityMismatchError):
             benson_homotopy(basis())  # (1,) is not a word of arity 0
 
