@@ -3,8 +3,9 @@
 Subpackages by subject:
 
 - :mod:`seqop.combinatorics` - surjection words, overlapping partitions as
-  piece-size tuples, the signed sum over composition diagrams, and the four
-  sign rules.
+  piece-size tuples, the signed sum over composition diagrams, the four
+  sign rules, and the immutable linear combination of keys that the
+  element, cochain and tensor types below share.
 - :mod:`seqop.operad` - elements, boundary, symmetric action, composition,
   the prepend contraction, the complexity filtration, and the operator side
   of the chain-map, equivariance and composition identities of an action.

@@ -89,7 +89,7 @@ def criterion_a2() -> CriterionResult:
     details = []
     for arity, top in jobs:
         complex = build_word_complex(arity, top + 1)
-        groups = homology(complex, top)
+        groups = homology(complex)
         if not _has_betti(groups, [1] + [0] * top):
             return _result("A2", start, False, f"arity {arity} is not a point through degree {top}: {groups}")
         details.append(f"arity {arity} point through degree {top}")
@@ -222,9 +222,9 @@ def criterion_a5() -> CriterionResult:
         if dims != [2] * n + [0, 0]:
             return _result("A5", start, False, f"stage {n} arity 2 dims are {dims}")
         # the circle model S^(n-1); stage 1 is two points
-        if not _has_betti(homology(complex, n), _configuration_betti(2, n) + [0]):
+        if not _has_betti(homology(complex), _configuration_betti(2, n) + [0]):
             return _result("A5", start, False, f"stage {n} arity 2 homology wrong")
-    groups = homology(build_word_complex(3, 4, max_complexity=2), 2)
+    groups = homology(build_word_complex(3, 4, max_complexity=2))
     betti = _configuration_betti(3, 2)  # (1+t)(1+2t) = 1+3t+2t^2
     if not _has_betti(groups, betti):
         return _result("A5", start, False, f"stage 2 arity 3 homology is {groups}, want Betti {betti}")
@@ -453,7 +453,7 @@ def criterion_a9() -> CriterionResult:
     for k in (1, 2, 3):
         for bt in berger.enumerate_poset(k, 3):
             complex = berger.subcomplex_basis(bt, 5)
-            groups = homology(complex, 4)
+            groups = homology(complex)
             if not _has_betti(groups, [1, 0, 0, 0, 0]):
                 return _result("A9", start, False, f"subcomplex at {bt.to_json()} has homology {groups}")
             checked += 1

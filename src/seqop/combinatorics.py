@@ -13,7 +13,9 @@ as its tuple of piece sizes.
 each size tuple with the pieces covering each element, and operad
 composition, the cochain coaction (``simplicial``) and the Hochschild
 action (``hochschild.theta``) all read their sums from it, signed by
-:func:`epsilon_parity`.
+:func:`epsilon_parity`.  :class:`LinearCombination` is the one immutable
+integer combination of keys behind operad elements, simplicial cochains,
+face tensors and Hochschild cochains.
 
 All sign computations are exposed as parities (``*_parity``, integers
 mod 2); callers exponentiate once, where a sign is applied.
@@ -22,6 +24,7 @@ mod 2); callers exponentiate once, where a sign is applied.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,6 +41,87 @@ class InputError(ValueError):
 
 class InvalidEntryError(InputError):
     """An input sequence has entries outside the allowed range {1..k}."""
+
+
+class LinearCombination:
+    """An immutable finite combination of keys with integer coefficients,
+    in one space.
+
+    A subclass names the two attributes that fix its space in
+    ``__slots__`` (``arity`` and ``degree`` for an operad element), states
+    which keys a space holds in ``_check_key`` and the error for operands
+    of two spaces in ``_mismatch``.  ``coeffs`` maps keys to nonzero
+    coefficients: the constructor checks every key, a key with coefficient
+    0 too, and then drops the zeros.  Coefficients are integers unless a
+    subclass says how its own add, scale and vanish (``_add``, ``_scale``,
+    ``_vanishes``).
+    """
+
+    __slots__ = ("_space", "coeffs")
+    _mismatch = ValueError
+    _add = staticmethod(operator.add)
+    _scale = staticmethod(operator.mul)
+    _vanishes = staticmethod(operator.not_)
+
+    def __init__(self, first, second, coeffs=None):
+        put = object.__setattr__
+        a, b = self.__slots__
+        put(self, a, first)
+        put(self, b, second)
+        put(self, "_space", (first, second))
+        clean = {}
+        if coeffs:
+            check, vanishes = self._check_key, self._vanishes
+            for key, c in coeffs.items():
+                check(key)
+                if not vanishes(c):
+                    clean[key] = c
+        put(self, "coeffs", clean)
+
+    def _check_key(self, key):
+        """Raise unless ``key`` is a key of this value's space."""
+        raise NotImplementedError
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._space == other._space and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self._space, frozenset(self.coeffs.items())))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._space != other._space:
+            first, second = self.__slots__
+            raise self._mismatch(f"cannot add {type(self).__name__} values of different {first} or {second}")
+        acc = dict(self.coeffs)
+        add = self._add
+        for key, c in other.coeffs.items():
+            mine = acc.get(key)
+            acc[key] = c if mine is None else add(mine, c)
+        return type(self)(*self._space, acc)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __neg__(self):
+        return (-1) * self
+
+    def __rmul__(self, scalar: int):
+        scale = self._scale
+        return type(self)(*self._space, {k: scale(scalar, c) for k, c in self.coeffs.items()})
+
+    def __repr__(self):
+        body = " ".join(f"{c:+d}*{k}" for k, c in sorted(self.coeffs.items()))
+        return f"{type(self).__name__}({self.__slots__[1]}={self._space[1]}; {body or '0'})"
 
 
 def is_int(value) -> bool:

@@ -4,7 +4,8 @@ low-complexity words on them.
 Rings are given by integer structure constants on a basis whose element 0
 is the unit.  A normalized cochain then vanishes whenever an argument is
 basis element 0, so tables are stored on tuples of nonzero indices only,
-making normalization a storage invariant.  Values are coordinate vectors.
+making normalization a storage invariant.  Values are coordinate vectors,
+the coefficients of a :class:`seqop.combinatorics.LinearCombination`.
 
 The word action theta is one sum over the overlapping partitions of
 :func:`seqop.combinatorics.fiber_covers`, the enumerator and coaction sign
@@ -20,9 +21,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .combinatorics import InputError, complexity, epsilon_parity, fiber_covers, is_int, is_int_list
+from .combinatorics import InputError, LinearCombination, complexity, epsilon_parity, fiber_covers, is_int, is_int_list
 from .operad import OperadElement
 
 
@@ -153,40 +154,38 @@ SHIPPED_RINGS = {
 }
 
 
-class HochschildCochain:
+class HochschildCochain(LinearCombination):
     """A normalized multilinear cochain, stored on nonzero basis indices.
 
-    ``table`` maps degree-long tuples of indices in {1..rank-1} to
+    ``coeffs`` maps degree-long tuples of indices in {1..rank-1} to
     coordinate vectors; absent keys are zero.  Degree 0 cochains are ring
     elements under the single key ().
     """
 
-    __slots__ = ("ring", "degree", "table")
+    __slots__ = ("ring", "degree")
 
-    def __init__(self, ring: FiniteRing, degree: int, table: Mapping | None = None):
-        clean = {}
-        for key, value in (table or {}).items():
-            value = tuple(value)
-            if len(key) != degree:
-                raise InputError(f"key {key} does not have degree {degree}")
-            if any(not 1 <= t < ring.rank for t in key):
-                raise InputError(f"key {key} must use nonzero basis indices 1..{ring.rank - 1}")
-            if any(value):
-                clean[tuple(key)] = value
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "table", clean)
+    def _check_key(self, key):
+        if len(key) != self.degree:
+            raise InputError(f"key {key} does not have degree {self.degree}")
+        if any(not 1 <= t < self.ring.rank for t in key):
+            raise InputError(f"key {key} must use nonzero basis indices 1..{self.ring.rank - 1}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HochschildCochain is immutable")
+    def _add(self, u, v):
+        return self.ring.add(u, v)
+
+    def _scale(self, s, u):
+        return self.ring.scale(s, u)
+
+    def _vanishes(self, u):
+        return not any(u)
 
     def value(self, key: Sequence[int]) -> tuple[int, ...]:
-        return self.table.get(tuple(key), self.ring.zero)
+        return self.coeffs.get(tuple(key), self.ring.zero)
 
     def eval_vectors(self, vectors: Sequence[Sequence[int]]) -> tuple[int, ...]:
         """Multilinear evaluation on ring elements; unit components die."""
         acc = list(self.ring.zero)
-        for key, val in self.table.items():
+        for key, val in self.coeffs.items():
             coeff = 1
             for t, vec in zip(key, vectors):
                 coeff *= vec[t]
@@ -197,41 +196,14 @@ class HochschildCochain:
                     acc[l] += coeff * c
         return tuple(acc)
 
-    def is_zero(self) -> bool:
-        return not self.table
-
-    def __eq__(self, other):
-        if not isinstance(other, HochschildCochain):
-            return NotImplemented
-        return self.ring == other.ring and self.degree == other.degree and self.table == other.table
-
-    def __add__(self, other: "HochschildCochain") -> "HochschildCochain":
-        if self.ring != other.ring or self.degree != other.degree:
-            raise ValueError("cochain mismatch")
-        acc = dict(self.table)
-        for key, val in other.table.items():
-            acc[key] = self.ring.add(acc.get(key, self.ring.zero), val)
-        return HochschildCochain(self.ring, self.degree, acc)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, scalar: int):
-        return HochschildCochain(
-            self.ring, self.degree, {k: self.ring.scale(scalar, v) for k, v in self.table.items()}
-        )
-
     def __repr__(self):
-        return f"HochschildCochain(deg={self.degree}, {len(self.table)} entries)"
+        return f"HochschildCochain(deg={self.degree}, {len(self.coeffs)} entries)"
 
     def to_json(self) -> dict:
         return {
             "degree": self.degree,
             "values": [
-                {"args": list(k), "value": list(v)} for k, v in sorted(self.table.items())
+                {"args": list(k), "value": list(v)} for k, v in sorted(self.coeffs.items())
             ],
         }
 
@@ -253,7 +225,7 @@ class HochschildCochain:
             key = tuple(item["args"])
             if key in table:
                 raise InputError(f'Hochschild cochain has two values on args {item["args"]}')
-            table[key] = item["value"]
+            table[key] = tuple(item["value"])
         return cls(ring, data["degree"], table)
 
 
@@ -303,8 +275,8 @@ def cup(x: HochschildCochain, y: HochschildCochain) -> HochschildCochain:
         raise ValueError("cochains over different rings")
     ring = x.ring
     acc: dict = {}
-    for kx, vx in x.table.items():
-        for ky, vy in y.table.items():
+    for kx, vx in x.coeffs.items():
+        for ky, vy in y.coeffs.items():
             val = ring.mul(vx, vy)
             if any(val):
                 key = kx + ky

@@ -90,9 +90,7 @@ class _Reducer:
             else:
                 del trow[c]
                 self.colmap[c].remove(target)
-        if trow:
-            heapq.heappush(self.heap, (len(trow), target))
-        else:
+        if not trow:
             del self.rows[target]
 
     # pivot selection -------------------------------------------------------
@@ -100,8 +98,8 @@ class _Reducer:
     def _unit_pivot(self):
         """A +-1 entry of the shortest row that holds one, with the fewest
         entries in its column, or None.  A row without a unit leaves the
-        heap: only :meth:`_row_add` can give it one, and that pushes it
-        again."""
+        heap: only a row operation can give it one, and the unit pass
+        pushes every row its pivot touched again."""
         heap = self.heap
         while heap:
             length, r = heap[0]
@@ -288,7 +286,11 @@ def _eliminate_units(diffs: dict[int, SparseIntMatrix]) -> dict[int, _Reducer]:
             else:
                 return reducers
             r, c = pick
+        touched = [r2 for r2 in red.colmap[c] if r2 != r]
         row = red._drop(r, red._clear(r, c))
+        for r2 in touched:
+            if r2 in red.rows:
+                heapq.heappush(red.heap, (len(red.rows[r2]), r2))
         single += [(q, c2) for c2 in row]
         up, down = reducers.get(q + 1), reducers.get(q - 1)
         if up is not None:
@@ -318,7 +320,7 @@ def _smith_forms(diffs: dict[int, SparseIntMatrix]) -> dict[int, list[int]]:
     return {q: _smith_diagonal(red.diagonal) for q, red in reducers.items()}
 
 
-def homology(complex: GradedComplex, max_degree: int | None = None) -> dict[int, HomologyGroup]:
+def homology(complex: GradedComplex) -> dict[int, HomologyGroup]:
     """Homology groups of a graded complex, degree by degree.
 
     Checks d o d = 0 first (raising ChainComplexError otherwise), which the
@@ -329,11 +331,9 @@ def homology(complex: GradedComplex, max_degree: int | None = None) -> dict[int,
     """
     complex.validate()
     top = complex.max_degree
-    if max_degree is None:
-        max_degree = top
     factors = _smith_forms(complex.diffs)
     out = {}
-    for q in range(0, min(max_degree, top) + 1):
+    for q in range(0, top + 1):
         rank_q = len(factors.get(q, ())) if q > 0 else 0
         above = factors.get(q + 1, [])
         rank_above = len(above) if q < top else 0

@@ -2,7 +2,8 @@
 
 Elements are integer linear combinations of nondegenerate surjection words
 of one arity and one homological degree (mixed degrees are represented as
-lists of homogeneous elements).  The module provides the differential, the
+lists of homogeneous elements); their storage and arithmetic are
+:class:`seqop.combinatorics.LinearCombination`'s.  The module provides the differential, the
 right symmetric-group action, multivariable and partial composition, the
 prepend-a-1 contraction, and the complexity filtration.  It also holds
 the operator side of the three identities an action of the operad must
@@ -16,10 +17,11 @@ deterministic and independent of evaluation order.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .combinatorics import (
     InputError,
+    LinearCombination,
     Surjection,
     boundary_terms,
     complexity,
@@ -33,32 +35,23 @@ from .combinatorics import (
 
 
 class ArityMismatchError(ValueError):
-    """Operands do not have compatible arities."""
+    """Operands do not fit together: arities that do not compose, or a sum
+    of elements of different arity or degree."""
 
 
-class OperadElement:
+class OperadElement(LinearCombination):
     """A homogeneous integer combination of surjection words.
 
-    Instances are immutable; ``terms`` maps Surjection keys (all of the
-    declared arity and degree) to nonzero coefficients.
+    ``coeffs`` maps Surjection keys, all of the declared arity and degree,
+    to nonzero coefficients.
     """
 
-    __slots__ = ("arity", "degree", "_terms")
+    __slots__ = ("arity", "degree")
+    _mismatch = ArityMismatchError
 
-    def __init__(self, arity: int, degree: int, terms: Mapping[Surjection, int] | None = None):
-        clean: dict[Surjection, int] = {}
-        for key, coeff in (terms or {}).items():
-            if coeff == 0:
-                continue
-            if key.arity != arity or key.degree != degree:
-                raise ValueError(f"term {key} does not have arity {arity} and degree {degree}")
-            clean[key] = coeff
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperadElement is immutable")
+    def _check_key(self, key):
+        if key.arity != self.arity or key.degree != self.degree:
+            raise ValueError(f"term {key} does not have arity {self.arity} and degree {self.degree}")
 
     @classmethod
     def basis(cls, entries: Sequence[int], arity: int | None = None) -> "OperadElement":
@@ -77,50 +70,13 @@ class OperadElement:
         return cls.basis((1,), 1)
 
     def items(self):
-        return sorted(self._terms.items())
+        return sorted(self.coeffs.items())
 
     def terms(self) -> dict[Surjection, int]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other):
-        if not isinstance(other, OperadElement):
-            return NotImplemented
-        return (
-            self.arity == other.arity
-            and self.degree == other.degree
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.arity, self.degree, frozenset(self._terms.items())))
-
-    def __add__(self, other: "OperadElement") -> "OperadElement":
-        self._check_compatible(other)
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc[key] = acc.get(key, 0) + coeff
-        return OperadElement(self.arity, self.degree, acc)
-
-    def __sub__(self, other: "OperadElement") -> "OperadElement":
-        return self + (-1) * other
-
-    def __neg__(self) -> "OperadElement":
-        return (-1) * self
-
-    def __rmul__(self, scalar: int) -> "OperadElement":
-        return OperadElement(self.arity, self.degree, {k: scalar * c for k, c in self._terms.items()})
-
-    def _check_compatible(self, other: "OperadElement"):
-        if self.arity != other.arity:
-            raise ArityMismatchError(f"arity {self.arity} vs {other.arity}")
-        if self.degree != other.degree:
-            raise ValueError(f"degree {self.degree} vs {other.degree}")
+        return dict(self.coeffs)
 
     def __repr__(self):
-        if not self._terms:
+        if not self.coeffs:
             return f"OperadElement(0; arity={self.arity}, degree={self.degree})"
         bits = []
         for key, coeff in self.items():
@@ -155,7 +111,7 @@ def differential(e: OperadElement) -> OperadElement:
     degree decreases by 1.
     """
     pairs = []
-    for f, coeff in e._terms.items():
+    for f, coeff in e.coeffs.items():
         for sign, sub in boundary_terms(f.entries):
             pairs.append((sign * coeff, Surjection._trusted(f.arity, sub)))
     return _collect(e.arity, e.degree - 1, pairs)
@@ -175,7 +131,7 @@ def act(e: OperadElement, rho: Sequence[int]) -> OperadElement:
         raise ArityMismatchError(f"{tuple(rho)} permutes 1..{len(rho)}, not 1..{e.arity}")
     rinv = perm_inverse(rho)
     pairs = []
-    for f, coeff in e._terms.items():
+    for f, coeff in e.coeffs.items():
         sign = -1 if zeta_parity(f.entries, f.arity, rho) else 1
         relabeled = Surjection._trusted(e.arity, tuple(rinv[u - 1] for u in f.entries))
         pairs.append((sign * coeff, relabeled))
@@ -195,8 +151,8 @@ def compose(e: OperadElement, inner: Sequence[OperadElement]) -> OperadElement:
     out_arity = sum(g.arity for g in inner)
     out_degree = e.degree + sum(g.degree for g in inner)
     pairs = []
-    inner_items = [list(g._terms.items()) for g in inner]
-    for f, cf in e._terms.items():
+    inner_items = [list(g.coeffs.items()) for g in inner]
+    for f, cf in e.coeffs.items():
         for combo in itertools.product(*inner_items):
             coeff = cf
             for _, c in combo:
@@ -225,7 +181,7 @@ def benson_homotopy(e: OperadElement) -> OperadElement:
     if e.arity < 1:
         raise ArityMismatchError("benson_homotopy needs arity >= 1")
     pairs = []
-    for f, coeff in e._terms.items():
+    for f, coeff in e.coeffs.items():
         sw = contract_word(f.entries)
         if sw is not None:
             pairs.append((coeff, Surjection._trusted(f.arity, sw)))
@@ -235,7 +191,7 @@ def benson_homotopy(e: OperadElement) -> OperadElement:
 def iota(e: OperadElement) -> OperadElement:
     """Shift every entry up by one and prepend a 1; raises arity by one."""
     pairs = []
-    for f, coeff in e._terms.items():
+    for f, coeff in e.coeffs.items():
         pairs.append((coeff, Surjection._trusted(f.arity + 1, (1,) + tuple(u + 1 for u in f.entries))))
     return _collect(e.arity + 1, e.degree, pairs)
 
@@ -256,7 +212,7 @@ def retract(e: OperadElement) -> OperadElement:
     if e.arity < 1:
         raise ArityMismatchError("retract needs arity >= 1")
     pairs = []
-    for f, coeff in e._terms.items():
+    for f, coeff in e.coeffs.items():
         if f.entries.count(1) != 1:
             continue
         j0 = f.entries.index(1)
@@ -270,7 +226,7 @@ def retract(e: OperadElement) -> OperadElement:
 
 def complexity_bound(e: OperadElement) -> int:
     """Largest complexity among the words of ``e`` (0 for the zero element)."""
-    return max((complexity(f.entries, f.arity) for f in e._terms), default=0)
+    return max((complexity(f.entries, f.arity) for f in e.coeffs), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Chains are normalized: a vertex list with a repetition is degenerate and
 counts as zero, which is exactly what kills the degenerate terms of the
-coaction.  The coboundary carries the sign convention
+coaction.  A cochain and a face tensor of the coaction are each a
+:class:`seqop.combinatorics.LinearCombination` on one complex, keyed by
+simplices and by tuples of simplices.  The coboundary carries the sign
+convention
 
     d(x) = -(-1)^{|x|} x o boundary
 
@@ -24,9 +27,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .combinatorics import InputError, Surjection, epsilon_parity, fiber_covers, is_int, is_int_list
+from .combinatorics import InputError, LinearCombination, Surjection, epsilon_parity, fiber_covers, is_int, is_int_list
 from .operad import OperadElement
 
 
@@ -114,67 +117,17 @@ def projective_plane() -> SimplicialComplex:
     return SimplicialComplex.from_simplices(triangles)
 
 
-class _Valued:
-    """Shared plumbing for finitely supported integer coefficient maps."""
-
-    __slots__ = ("complex", "dim", "coeffs")
-
-    def __init__(self, complex: SimplicialComplex, dim: int, coeffs: Mapping | None = None):
-        clean = {}
-        for key, value in (coeffs or {}).items():
-            if value == 0:
-                continue
-            self._check_key(complex, dim, key)
-            clean[key] = value
-        object.__setattr__(self, "complex", complex)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coeffs", clean)
-
-    @staticmethod
-    def _check_key(complex, dim, key):
-        if len(key) != dim + 1:
-            raise InputError(f"{key} is not a {dim}-simplex")
-        if key not in complex.simplices:
-            raise ValueError(f"{key} is not a {dim}-simplex of the complex")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.complex == other.complex and self.dim == other.dim and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.coeffs.items())))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        if self.complex != other.complex or self.dim != other.dim:
-            raise ComplexMismatchError("cannot add values of different complexes or dimensions")
-        acc = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            acc[key] = acc.get(key, 0) + value
-        return type(self)(self.complex, self.dim, acc)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, scalar: int):
-        return type(self)(self.complex, self.dim, {k: scalar * v for k, v in self.coeffs.items()})
-
-    def __repr__(self):
-        body = " ".join(f"{v:+d}*{k}" for k, v in sorted(self.coeffs.items()))
-        return f"{type(self).__name__}(dim={self.dim}; {body or '0'})"
-
-
-class Cochain(_Valued):
+class Cochain(LinearCombination):
     """An integer-valued function on the simplices of one dimension."""
+
+    __slots__ = ("complex", "dim")
+    _mismatch = ComplexMismatchError
+
+    def _check_key(self, key):
+        if len(key) != self.dim + 1:
+            raise InputError(f"{key} is not a {self.dim}-simplex")
+        if key not in self.complex.simplices:
+            raise ValueError(f"{key} is not a {self.dim}-simplex of the complex")
 
     def value(self, simplex: Sequence[int]) -> int:
         return self.coeffs.get(tuple(simplex), 0)
@@ -213,22 +166,18 @@ class Cochain(_Valued):
         return cls(complex, data["dim"], coeffs)
 
 
-class TensorChain(_Valued):
-    """An integer combination of k-tuples of simplices (mixed dimensions).
+class TensorChain(LinearCombination):
+    """An integer combination of k-tuples of simplices (mixed dimensions),
+    where k is ``factors``."""
 
-    The ``dim`` slot holds the number k of tensor factors.
-    """
+    __slots__ = ("complex", "factors")
+    _mismatch = ComplexMismatchError
 
-    @property
-    def factors(self) -> int:
-        return self.dim
-
-    @staticmethod
-    def _check_key(complex, factors, key):
-        if len(key) != factors:
-            raise ValueError(f"expected {factors} tensor factors")
+    def _check_key(self, key):
+        if len(key) != self.factors:
+            raise ValueError(f"expected {self.factors} tensor factors")
         for simp in key:
-            if not complex.has(simp):
+            if not self.complex.has(simp):
                 raise ValueError(f"{simp} is not a simplex of the complex")
 
 
@@ -354,21 +303,17 @@ def steenrod_square(x: Cochain, i: int) -> Cochain:
     return cup_i(xm, xm, p - i).reduce_mod2()
 
 
-def oracle_equal(e1: OperadElement, e2: OperadElement, p_max: int | None = None) -> bool:
+def oracle_equal(e1: OperadElement, e2: OperadElement) -> bool:
     """Decide equality of operad elements by coaction on standard simplices.
 
     Compares the signed face tensors extracted from the standard
-    p-simplex for every p up to ``p_max`` (default: the longest word).
+    p-simplex for every p up to the length of the longest word.
     Evaluating against dual-basis cochains is a diagonal change of sign
     per fixed degree tuple, so tensor equality is evaluation equality.
     """
     if e1.arity != e2.arity or e1.degree != e2.degree:
         raise ValueError("oracle_equal compares elements of one arity and degree")
-    if p_max is None:
-        p_max = max(
-            (f.length for f in itertools.chain(e1.terms(), e2.terms())),
-            default=0,
-        )
+    p_max = max((f.length for f in itertools.chain(e1.coeffs, e2.coeffs)), default=0)
     for p in range(p_max + 1):
         complex = standard_simplex(p)
         top = tuple(range(p + 1))

@@ -370,12 +370,14 @@ class TestContract:
             ["coaction", "--simplex", "0,1", "--seq", "1,2", "--complex", '{"vertices": 3, "simplices": [[0, 2]]}'],
             ["hochschild-theta", "--ring", NONASSOCIATIVE, "--seq", "1", "--cochain", THETA_X],
             ["act", "--seq", "1,2", "--perm", "1,2,3"],
+            ["steenrod", "--complex", DELTA2, "--x", '{"dim": 1, "values": [{"simplex": [0, 7], "coeff": 0}]}', "--i", "1"],
         ],
         ids=[
             "cochain-simplex-outside-complex",
             "coaction-simplex-outside-complex",
             "ring-nonassociative",
             "act-perm-wrong-size",
+            "cochain-zero-outside-complex",
         ],
     )
     def test_well_formed_mismatch_exits_1(self, capsys, argv):
@@ -400,6 +402,7 @@ class TestContract:
             ["homology", "--arity", "2"],
             ["act", "--seq", "1,2", "--perm", "1,1"],
             ["act", "--seq", "1,2", "--perm", "0,1"],
+            ["cup", "--complex", DELTA2, "--x", '{"dim": 1, "values": [{"simplex": [0, 1, 2], "coeff": 0}]}', "--y", EDGE],
         ],
         ids=[
             "cochain-without-dim",
@@ -414,6 +417,7 @@ class TestContract:
             "homology-without-max-degree",
             "act-perm-repeated",
             "act-perm-entry-0",
+            "cochain-zero-on-wrong-dimension",
         ],
     )
     def test_malformed_exits_2_with_one_line(self, capsys, argv):

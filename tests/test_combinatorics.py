@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from seqop import operad
 from seqop.combinatorics import (
+    InputError,
     InvalidEntryError,
     Surjection,
     boundary_terms,
@@ -24,6 +25,9 @@ from seqop.combinatorics import (
     word_bases,
     zeta_parity,
 )
+from seqop.hochschild import HochschildCochain, upper_triangular
+from seqop.operad import ArityMismatchError, OperadElement
+from seqop.simplicial import Cochain, ComplexMismatchError, TensorChain, standard_simplex
 
 
 def restrict(entries, positions):
@@ -561,3 +565,44 @@ class TestTrustedConstruction:
         for image in images:
             for g in image.terms():
                 assert_checked_equal(g)
+
+
+
+# ---------------------------------------------------------------------------
+# LinearCombination, shared by four types.  Per type: the space of x, a
+# second space, two keys of x's space, a coefficient and the zero
+# coefficient, a key x's space lacks with the error it raises, and the
+# error for a sum across spaces.
+# ---------------------------------------------------------------------------
+
+D2, D3, RING = standard_simplex(2), standard_simplex(3), upper_triangular()
+LINEAR_COMBINATIONS = {
+    "operad": (
+        OperadElement, (2, 1), (2, 2), Surjection(2, (1, 2, 1)), Surjection(2, (2, 1, 2)),
+        3, 0, Surjection(2, (1, 2)), ValueError, ArityMismatchError,
+    ),
+    "cochain": (Cochain, (D2, 1), (D3, 1), (0, 1), (1, 2), -2, 0, (0, 1, 2), InputError, ComplexMismatchError),
+    "tensor": (
+        TensorChain, (D2, 2), (D3, 2), ((0,), (0, 1)), ((1, 2), (2,)),
+        5, 0, ((0,), (3,)), ValueError, ComplexMismatchError,
+    ),
+    "hochschild": (HochschildCochain, (RING, 1), (RING, 2), (1,), (2,), (2, -1, 0), (0, 0, 0), (0,), InputError, ValueError),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LINEAR_COMBINATIONS))
+def test_linear_combination_shared_behaviour(kind):
+    cls, space, other_space, key, key2, coeff, zero, bad_key, key_error, mismatch = LINEAR_COMBINATIONS[kind]
+    x = cls(*space, {key: coeff, key2: zero})
+    assert x.coeffs == {key: coeff}  # the zero is dropped
+    with pytest.raises(key_error):
+        cls(*space, {bad_key: zero})  # but its key is checked
+    assert (x - x).is_zero() and not x.is_zero()
+    assert (-1) * x == -x != x
+    assert x + x == 2 * x and hash(x + x) == hash(2 * x)
+    assert hash(cls(*space, {key: coeff})) == hash(x)
+    for name in (*cls.__slots__, "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+    with pytest.raises(mismatch):
+        x + cls(*other_space)

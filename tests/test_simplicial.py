@@ -20,7 +20,6 @@ from seqop.simplicial import (
     SimplicialComplex,
     TensorChain,
     _coaction_skeleton,
-    _Valued,
     coaction,
     coboundary,
     cup_i,
@@ -39,8 +38,9 @@ D3 = standard_simplex(3)
 D4 = standard_simplex(4)
 
 
-class Chain(_Valued):
-    """An integer combination of simplices of one dimension."""
+class Chain(Cochain):
+    """An integer combination of simplices of one dimension: a cochain's
+    storage and key rule, read as a chain."""
 
 
 def boundary(chain: Chain) -> Chain:
@@ -172,6 +172,15 @@ class TestCoaction:
         K = standard_simplex(1)
         t = coaction(K, (0, 1), Surjection(2, (1, 2, 1)))
         assert t.coeffs == {((0, 1), (0, 1)): -1}
+
+    def test_tensor_keys_are_checked(self):
+        D2 = standard_simplex(2)
+        t = TensorChain(D2, 2, {((0,), (0, 1)): 1})
+        assert t.factors == 2 and t.complex == D2
+        for key in (((0, 1),), ((0,), (0, 1), (1,)), ((0,), (0, 3)), ((0, 1, 2, 3), (0,))):
+            for coeff in (1, 0):
+                with pytest.raises(ValueError):
+                    TensorChain(D2, 2, {key: coeff})
 
     def test_skeleton_matches_block_reference(self):
         # every word over 1..arity, degenerate and non-surjective ones included
