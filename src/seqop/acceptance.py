@@ -296,8 +296,9 @@ def criterion_a7() -> CriterionResult:
 
 def _random_hochschild_cochain(ring, degree, rng):
     table = {
-        key: tuple(rng.randint(-2, 2) for _ in range(ring.rank))
-        for key in itertools.product(range(1, ring.rank), repeat=degree)
+        (args, l): rng.randint(-2, 2)
+        for args in itertools.product(range(1, ring.rank), repeat=degree)
+        for l in range(ring.rank)
     }
     return hochschild.HochschildCochain(ring, degree, table)
 

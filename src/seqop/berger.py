@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .combinatorics import InputError, Surjection, is_int, is_int_list, pair_runs, perm_inverse, word_bases
+from .combinatorics import InputError, Surjection, check_permutation, is_int, is_int_list, pair_runs, perm_inverse, word_bases
 from .homology import GradedComplex, complex_from_word_basis
 
 
@@ -37,8 +37,7 @@ class PosetElement:
             raise InputError(f"need one weight per 2-subset of 1..{self.k}")
         if any(w < 0 for w in self.weights):
             raise InputError(f"weights must be nonnegative, got {list(self.weights)}")
-        if sorted(self.order) != list(range(1, self.k + 1)):
-            raise InputError(f"order {list(self.order)} is not a permutation of 1..{self.k}")
+        check_permutation(self.order, self.k, f"order {list(self.order)}")
 
     def weight(self, i: int, j: int) -> int:
         if i == j:
@@ -72,8 +71,7 @@ class PosetElement:
         k, b, order = data["k"], data.get("b"), data.get("order")
         if not isinstance(b, list) or not is_int_list(order):
             raise InputError('a poset element needs a list "b" and an integer-list "order"')
-        if len(order) != k:  # bounds k by the input's size before the weights are sized by it
-            raise InputError(f"order {order} is not a permutation of 1..{k}")
+        check_permutation(order, k, f"order {order}")  # bounds k before the weights are sized by it
         vals = {}
         for item in b:
             if not isinstance(item, dict) or not is_int(item.get("val")):
@@ -103,8 +101,7 @@ def leq(x: PosetElement, y: PosetElement) -> bool:
 
 def poset_act(x: PosetElement, rho: Sequence[int]) -> PosetElement:
     """Right action: weights pull back along rho, order by rho-images."""
-    if sorted(rho) != list(range(1, x.k + 1)):
-        raise ValueError(f"{rho} is not a permutation of 1..{x.k}")
+    check_permutation(rho, x.k, rho)
     rinv = perm_inverse(rho)
     weights = tuple(x.weight(rho[i - 1], rho[j - 1]) for i, j in _pair_index(x.k))
     order = tuple(rinv[t - 1] for t in x.order)

@@ -24,7 +24,6 @@ mod 2); callers exponentiate once, where a sign is applied.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -52,16 +51,11 @@ class LinearCombination:
     which keys a space holds in ``_check_key`` and the error for operands
     of two spaces in ``_mismatch``.  ``coeffs`` maps keys to nonzero
     coefficients: the constructor checks every key, a key with coefficient
-    0 too, and then drops the zeros.  Coefficients are integers unless a
-    subclass says how its own add, scale and vanish (``_add``, ``_scale``,
-    ``_vanishes``).
+    0 too, and then drops the zeros.
     """
 
     __slots__ = ("_space", "coeffs")
     _mismatch = ValueError
-    _add = staticmethod(operator.add)
-    _scale = staticmethod(operator.mul)
-    _vanishes = staticmethod(operator.not_)
 
     def __init__(self, first, second, coeffs=None):
         put = object.__setattr__
@@ -71,10 +65,10 @@ class LinearCombination:
         put(self, "_space", (first, second))
         clean = {}
         if coeffs:
-            check, vanishes = self._check_key, self._vanishes
+            check = self._check_key
             for key, c in coeffs.items():
                 check(key)
-                if not vanishes(c):
+                if c:
                     clean[key] = c
         put(self, "coeffs", clean)
 
@@ -103,10 +97,8 @@ class LinearCombination:
             first, second = self.__slots__
             raise self._mismatch(f"cannot add {type(self).__name__} values of different {first} or {second}")
         acc = dict(self.coeffs)
-        add = self._add
         for key, c in other.coeffs.items():
-            mine = acc.get(key)
-            acc[key] = c if mine is None else add(mine, c)
+            acc[key] = acc.get(key, 0) + c
         return type(self)(*self._space, acc)
 
     def __sub__(self, other):
@@ -116,8 +108,7 @@ class LinearCombination:
         return (-1) * self
 
     def __rmul__(self, scalar: int):
-        scale = self._scale
-        return type(self)(*self._space, {k: scale(scalar, c) for k, c in self.coeffs.items()})
+        return type(self)(*self._space, {k: scalar * c for k, c in self.coeffs.items()})
 
     def __repr__(self):
         body = " ".join(f"{c:+d}*{k}" for k, c in sorted(self.coeffs.items()))
@@ -567,6 +558,12 @@ def zeta_parity(entries: Sequence[int], arity: int, rho: Sequence[int]) -> int:
     """
     counts = Counter(entries)
     return koszul_parity(rho, [counts[i] - 1 for i in range(1, arity + 1)])
+
+
+def check_permutation(rho: Sequence[int], k: int, shown) -> None:
+    """Raise InputError, naming ``shown``, unless ``rho`` is a permutation of 1..k."""
+    if len(rho) != k or sorted(rho) != list(range(1, k + 1)):
+        raise InputError(f"{shown} is not a permutation of 1..{k}")
 
 
 def perm_inverse(rho: Sequence[int]) -> tuple[int, ...]:

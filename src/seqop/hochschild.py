@@ -2,10 +2,11 @@
 low-complexity words on them.
 
 Rings are given by integer structure constants on a basis whose element 0
-is the unit.  A normalized cochain then vanishes whenever an argument is
-basis element 0, so tables are stored on tuples of nonzero indices only,
-making normalization a storage invariant.  Values are coordinate vectors,
-the coefficients of a :class:`seqop.combinatorics.LinearCombination`.
+is the unit.  A normalized cochain vanishes whenever an argument is basis
+element 0, so it is an integer combination, a
+:class:`seqop.combinatorics.LinearCombination`, of the elementary maps
+e_a1 (x) ... (x) e_ap -> e_l with nonzero a_i: normalization is a storage
+invariant.  Cup, brace and coboundary work entry by entry.
 
 The word action theta is one sum over the overlapping partitions of
 :func:`seqop.combinatorics.fiber_covers`, the enumerator and coaction sign
@@ -89,12 +90,6 @@ class FiniteRing:
                         acc[l] += ui * vj * c
         return tuple(acc)
 
-    def add(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-        return tuple(a + b for a, b in zip(u, v))
-
-    def scale(self, s: int, u: Sequence[int]) -> tuple[int, ...]:
-        return tuple(s * a for a in u)
-
     def to_json(self) -> dict:
         return {
             "rank": self.rank,
@@ -155,57 +150,38 @@ SHIPPED_RINGS = {
 
 
 class HochschildCochain(LinearCombination):
-    """A normalized multilinear cochain, stored on nonzero basis indices.
+    """A normalized multilinear cochain, an integer combination of
+    elementary maps.
 
-    ``coeffs`` maps degree-long tuples of indices in {1..rank-1} to
-    coordinate vectors; absent keys are zero.  Degree 0 cochains are ring
-    elements under the single key ().
+    The key ``(args, l)`` is the map sending e_args[0] (x) ... (x) e_args[-1]
+    to e_l and every other tensor of basis elements to 0: ``args`` is a
+    degree-long tuple of indices in {1..rank-1}, ``l`` any index in
+    {0..rank-1}.  Degree 0 cochains are ring elements, with ``args == ()``.
+
+    >>> identity_cochain(dual_numbers()).coeffs
+    {((1,), 1): 1}
     """
 
     __slots__ = ("ring", "degree")
 
     def _check_key(self, key):
-        if len(key) != self.degree:
-            raise InputError(f"key {key} does not have degree {self.degree}")
-        if any(not 1 <= t < self.ring.rank for t in key):
-            raise InputError(f"key {key} must use nonzero basis indices 1..{self.ring.rank - 1}")
+        args, l = key
+        rank = self.ring.rank
+        if len(args) != self.degree:
+            raise InputError(f"key {args} does not have degree {self.degree}")
+        if args and not (min(args) >= 1 and max(args) < rank):
+            raise InputError(f"key {args} must use nonzero basis indices 1..{rank - 1}")
+        if not 0 <= l < rank:
+            raise InputError(f"value index {l} outside 0..{rank - 1}")
 
-    def _add(self, u, v):
-        return self.ring.add(u, v)
-
-    def _scale(self, s, u):
-        return self.ring.scale(s, u)
-
-    def _vanishes(self, u):
-        return not any(u)
-
-    def value(self, key: Sequence[int]) -> tuple[int, ...]:
-        return self.coeffs.get(tuple(key), self.ring.zero)
-
-    def eval_vectors(self, vectors: Sequence[Sequence[int]]) -> tuple[int, ...]:
-        """Multilinear evaluation on ring elements; unit components die."""
-        acc = list(self.ring.zero)
-        for key, val in self.coeffs.items():
-            coeff = 1
-            for t, vec in zip(key, vectors):
-                coeff *= vec[t]
-                if not coeff:
-                    break
-            if coeff:
-                for l, c in enumerate(val):
-                    acc[l] += coeff * c
-        return tuple(acc)
-
-    def __repr__(self):
-        return f"HochschildCochain(deg={self.degree}, {len(self.coeffs)} entries)"
+    def value(self, args: Sequence[int]) -> tuple[int, ...]:
+        """The coordinate vector of the value on e_args[0] (x) ... (x) e_args[-1]."""
+        args = tuple(args)
+        return tuple(self.coeffs.get((args, l), 0) for l in range(self.ring.rank))
 
     def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "values": [
-                {"args": list(k), "value": list(v)} for k, v in sorted(self.coeffs.items())
-            ],
-        }
+        args = sorted({a for a, _ in self.coeffs})
+        return {"degree": self.degree, "values": [{"args": list(a), "value": list(self.value(a))} for a in args]}
 
     @classmethod
     def from_json(cls, ring: FiniteRing, data) -> "HochschildCochain":
@@ -222,10 +198,11 @@ class HochschildCochain(LinearCombination):
                 raise InputError(f'Hochschild cochain value {item!r} needs integer lists "args" and "value"')
             if len(item["value"]) != ring.rank:
                 raise InputError(f'Hochschild cochain value {item["value"]} must have length {ring.rank}')
-            key = tuple(item["args"])
-            if key in table:
+            args = tuple(item["args"])
+            if (args, 0) in table:
                 raise InputError(f'Hochschild cochain has two values on args {item["args"]}')
-            table[key] = tuple(item["value"])
+            # every entry, zeros too, so that the constructor checks the args of a zero value
+            table.update(((args, l), c) for l, c in enumerate(item["value"]))
         return cls(ring, data["degree"], table)
 
 
@@ -235,78 +212,73 @@ def identity_cochain(ring: FiniteRing) -> HochschildCochain:
     Not normalized as a map (it fixes the unit), but it is only ever fed
     nonzero basis arguments, where the table below is all there is to it.
     """
-    return HochschildCochain(ring, 1, {(t,): ring.basis_vector(t) for t in range(1, ring.rank)})
-
-
-def _keys(ring: FiniteRing, degree: int):
-    return itertools.product(range(1, ring.rank), repeat=degree)
+    return HochschildCochain(ring, 1, {((t,), t): 1 for t in range(1, ring.rank)})
 
 
 def hochschild_d(x: HochschildCochain) -> HochschildCochain:
-    """The alternating coboundary: outer multiplications at the ends,
-    adjacent products with sign (-1)^i in the middle, (-1)^{p+1} at the far
-    end.  Output tables stay normalized because input tables are.
+    """The alternating coboundary of a degree-p cochain,
+
+        id . x + sum_{i=1..p} (-1)^i x{id, ..., m, ..., id} + (-1)^(p+1) x . id,
+
+    with ``.`` the cup product and m, in slot i of the brace, the
+    multiplication on nonzero arguments.  The unit component of a product
+    meets no entry of a normalized x, so the result stays normalized.
+
+    >>> ring = upper_triangular()
+    >>> hochschild_d(HochschildCochain(ring, 0, {((), 1): 1})).coeffs  # [-, E12]
+    {((2,), 1): -1}
     """
-    ring = x.ring
-    p = x.degree
-    if p < 0:
-        return HochschildCochain(ring, p + 1, {})
-    acc: dict = {}
-    for key in _keys(ring, p + 1):
-        total = ring.mul(ring.basis_vector(key[0]), x.value(key[1:]))
-        for i in range(1, p + 1):
-            prod = ring.table[key[i - 1]][key[i]]
-            inner = list(ring.zero)
-            for l in range(1, ring.rank):
-                if prod[l]:
-                    val = x.value(key[: i - 1] + (l,) + key[i + 1 :])
-                    inner = [a + prod[l] * b for a, b in zip(inner, val)]
-            total = ring.add(total, ring.scale(-1 if i % 2 else 1, inner))
-        last = ring.mul(x.value(key[:p]), ring.basis_vector(key[p]))
-        total = ring.add(total, ring.scale(-1 if p % 2 == 0 else 1, last))
-        if any(total):
-            acc[key] = total
-    return HochschildCochain(ring, p + 1, acc)
+    ring, p = x.ring, x.degree
+    ident = identity_cochain(ring)
+    nonzero = range(1, ring.rank)
+    m = HochschildCochain(ring, 2, {((a, b), l): c for a in nonzero for b in nonzero for l, c in enumerate(ring.table[a][b])})
+    out = cup(ident, x) + (1 if p % 2 else -1) * cup(x, ident)
+    for i in range(1, p + 1):
+        out = out + (-1) ** i * brace(x, [ident] * (i - 1) + [m] + [ident] * (p - i))
+    return out
 
 
 def cup(x: HochschildCochain, y: HochschildCochain) -> HochschildCochain:
     """Pointwise product on split arguments."""
     if x.ring != y.ring:
         raise ValueError("cochains over different rings")
-    ring = x.ring
+    table = x.ring.table
     acc: dict = {}
-    for kx, vx in x.coeffs.items():
-        for ky, vy in y.coeffs.items():
-            val = ring.mul(vx, vy)
-            if any(val):
-                key = kx + ky
-                acc[key] = ring.add(acc.get(key, ring.zero), val)
-    return HochschildCochain(ring, x.degree + y.degree, acc)
+    for (kx, a), cx in x.coeffs.items():
+        for (ky, b), cy in y.coeffs.items():
+            for l, c in enumerate(table[a][b]):
+                if c:
+                    acc[kx + ky, l] = acc.get((kx + ky, l), 0) + cx * cy * c
+    return HochschildCochain(x.ring, x.degree + y.degree, acc)
 
 
 def brace(x: HochschildCochain, args: Sequence[HochschildCochain]) -> HochschildCochain:
     """Substitution composite: args fill the slots of x in order.
 
     Requires one argument per slot (len(args) == degree of x); the result
-    has degree equal to the sum of the argument degrees.
+    has degree equal to the sum of the argument degrees.  An entry of x
+    that reads e_a in slot i meets the entries of ``args[i]`` with value
+    e_a, so the cost follows the entries, not the degree.
     """
     ring = x.ring
     if len(args) != x.degree:
         raise ValueError(f"brace needs {x.degree} arguments, got {len(args)}")
     if any(y.ring != ring for y in args):
         raise ValueError("cochains over different rings")
-    out_degree = sum(y.degree for y in args)
+    by_value = []
+    for y in args:
+        entries: dict = {}
+        for (k, a), c in y.coeffs.items():
+            entries.setdefault(a, []).append((k, c))
+        by_value.append(entries)
     acc: dict = {}
-    for key in _keys(ring, out_degree):
-        vectors = []
-        pos = 0
-        for y in args:
-            vectors.append(y.value(key[pos : pos + y.degree]))
-            pos += y.degree
-        val = x.eval_vectors(vectors)
-        if any(val):
-            acc[key] = val
-    return HochschildCochain(ring, out_degree, acc)
+    for (kx, l), cx in x.coeffs.items():
+        partial = [((), cx)]
+        for entries, a in zip(by_value, kx):
+            partial = [(k + ky, c * cy) for k, c in partial for ky, cy in entries.get(a, ())]
+        for k, c in partial:
+            acc[k, l] = acc.get((k, l), 0) + c
+    return HochschildCochain(ring, sum(y.degree for y in args), acc)
 
 
 # ---------------------------------------------------------------------------

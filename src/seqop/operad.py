@@ -20,10 +20,10 @@ import itertools
 from typing import Iterable, Sequence
 
 from .combinatorics import (
-    InputError,
     LinearCombination,
     Surjection,
     boundary_terms,
+    check_permutation,
     complexity,
     composition_terms,
     koszul_parity,
@@ -125,8 +125,7 @@ def act(e: OperadElement, rho: Sequence[int]) -> OperadElement:
     sigma equals acting by their composite rho o sigma.  A ``rho`` that is
     no permutation is malformed; one of the wrong size is an arity mismatch.
     """
-    if sorted(rho) != list(range(1, len(rho) + 1)):
-        raise InputError(f"{tuple(rho)} is not a permutation of 1..{len(rho)}")
+    check_permutation(rho, len(rho), tuple(rho))
     if len(rho) != e.arity:
         raise ArityMismatchError(f"{tuple(rho)} permutes 1..{len(rho)}, not 1..{e.arity}")
     rinv = perm_inverse(rho)

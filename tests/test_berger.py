@@ -11,7 +11,7 @@ from seqop.berger import (
     poset_compose,
     subcomplex_basis,
 )
-from seqop.combinatorics import Surjection, enumerate_basis
+from seqop.combinatorics import InputError, Surjection, enumerate_basis
 from seqop.homology import ChainComplexError, homology
 from seqop.operad import OperadElement, act, benson_homotopy, differential, iota, retract
 
@@ -107,6 +107,10 @@ class TestStructureMaps:
             for x, y in itertools.product(elements, repeat=2):
                 if leq(x, y):
                     assert leq(poset_act(x, rho), poset_act(y, rho))
+
+    def test_act_rejects_a_non_permutation(self):
+        with pytest.raises(InputError, match=r"\(1, 1\) is not a permutation of 1..2"):
+            poset_act(PosetElement(2, (1,), (1, 2)), (1, 1))
 
     def test_act_is_right_action(self):
         elements = enumerate_poset(3, 2)

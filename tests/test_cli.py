@@ -294,6 +294,20 @@ class TestVerbs:
         assert data["degree"] == 2
         assert data["values"] == []  # x * x = 0 in the dual numbers
 
+    def test_hochschild_theta_of_one_entry_at_degree_40(self, capsys):
+        # a loop over the 2^40 keys of the output degree would never finish
+        x1 = {"degree": 1, "values": [{"args": [1], "value": [0, 1, 0]}, {"args": [2], "value": [1, 0, 1]}]}
+        x2 = {"degree": 40, "values": [{"args": [2] * 40, "value": [0, 0, 1]}]}
+        data = run_json(
+            capsys,
+            "hochschild-theta",
+            "--ring", "upper-triangular",
+            "--seq", "1,2,1",
+            "--cochain", json.dumps(x1),
+            "--cochain", json.dumps(x2),
+        )
+        assert data == {"degree": 40, "values": [{"args": [2] * 40, "value": [1, 0, 1]}]}
+
     @pytest.mark.parametrize("ring,seq", sorted(THETA_GOLDEN), ids=lambda v: v.replace(",", ""))
     def test_hochschild_theta_golden_bytes(self, capsys, ring, seq):
         ring_text, rank = THETA_RINGS[ring]
@@ -441,6 +455,8 @@ class TestContract:
             ("dual-numbers", '{"degree": 1, "values": [{"args": [0], "value": [0, 1]}]}'),
             ("dual-numbers", '{"degree": 1, "values": [{"args": [1], "value": [0, 1]}, {"args": [1], "value": [1, 0]}]}'),
             ("dual-numbers", '{"degree": -1, "values": []}'),
+            ("dual-numbers", '{"degree": 1, "values": [{"args": [0], "value": [0, 0]}]}'),
+            ("dual-numbers", '{"degree": 1, "values": [{"args": [1, 1], "value": [0, 0]}]}'),
             ("[1]", THETA_X),
             ('{"table": [[[1]]]}', THETA_X),
             ('{"rank": 1}', THETA_X),
@@ -467,6 +483,8 @@ class TestContract:
             "args-index-0",
             "args-repeated",
             "negative-degree",
+            "zero-value-args-index-0",
+            "zero-value-args-wrong-length",
             "ring-not-object",
             "ring-without-rank",
             "ring-without-table",
@@ -481,6 +499,16 @@ class TestContract:
     def test_malformed_theta_input_exits_2(self, capsys, ring, cochain):
         argv = ["hochschild-theta", "--ring", ring, "--seq", "1,2", "--cochain", THETA_X, "--cochain", cochain]
         assert_exits_2_with_one_line(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [([0], "key (0,) must use nonzero basis indices 1..1"), ([1, 1], "key (1, 1) does not have degree 1")],
+    )
+    def test_zero_value_on_bad_args_names_the_args(self, capsys, args, message):
+        cochain = json.dumps({"degree": 1, "values": [{"args": args, "value": [0, 0]}]})
+        argv = ["hochschild-theta", "--ring", "dual-numbers", "--seq", "1,2", "--cochain", THETA_X, "--cochain", cochain]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "poset",

@@ -586,7 +586,10 @@ LINEAR_COMBINATIONS = {
         TensorChain, (D2, 2), (D3, 2), ((0,), (0, 1)), ((1, 2), (2,)),
         5, 0, ((0,), (3,)), ValueError, ComplexMismatchError,
     ),
-    "hochschild": (HochschildCochain, (RING, 1), (RING, 2), (1,), (2,), (2, -1, 0), (0, 0, 0), (0,), InputError, ValueError),
+    "hochschild": (
+        HochschildCochain, (RING, 1), (RING, 2), ((1,), 0), ((2,), 1),
+        2, 0, ((0,), 0), InputError, ValueError,
+    ),
 }
 
 

@@ -6,6 +6,7 @@ from operator import attrgetter
 import pytest
 
 from seqop.combinatorics import (
+    InputError,
     complexity,
     enumerate_basis,
     epsilon_parity,
@@ -43,16 +44,25 @@ RINGS = [dual_numbers(), upper_triangular(), group_ring_c2()]
 DEGREE = attrgetter("degree")
 
 
+def from_vectors(ring, degree, table):
+    """The cochain whose value on the args ``key`` is the vector ``table[key]``."""
+    return HochschildCochain(ring, degree, {(key, l): c for key, v in table.items() for l, c in enumerate(v)})
+
+
 def constant_cochain(ring, vector):
     """A degree-0 cochain: one ring element."""
-    return HochschildCochain(ring, 0, {(): tuple(vector)})
+    return from_vectors(ring, 0, {(): vector})
 
 
-def random_cochain(ring, degree, rng):
-    table = {
-        key: tuple(rng.randint(-2, 2) for _ in range(ring.rank))
-        for key in itertools.product(range(1, ring.rank), repeat=degree)
-    }
+def random_cochain(ring, degree, rng, density=None):
+    """Entries in -2..2 on every key of the degree; with a ``density``, each
+    entry is kept with that probability."""
+    table = {}
+    for args in itertools.product(range(1, ring.rank), repeat=degree):
+        for l in range(ring.rank):
+            c = rng.randint(-2, 2)
+            if density is None or rng.random() < density:
+                table[args, l] = c
     return HochschildCochain(ring, degree, table)
 
 
@@ -107,8 +117,10 @@ class TestRing:
 class TestCochains:
     def test_storage_is_normalized(self):
         ring = dual_numbers()
-        with pytest.raises(ValueError):
-            HochschildCochain(ring, 1, {(0,): (1, 0)})
+        with pytest.raises(InputError, match="nonzero basis indices"):
+            HochschildCochain(ring, 1, {((0,), 1): 1})
+        with pytest.raises(InputError, match="value index"):
+            HochschildCochain(ring, 1, {((1,), 2): 1})
 
     def test_degree_zero_commutator(self):
         ring = upper_triangular()
@@ -453,3 +465,120 @@ class TestThetaReference:
                             nonzero += not got.is_zero()
         assert cases == 1815
         assert nonzero == 718
+
+
+# ---------------------------------------------------------------------------
+# Reference: the coordinate-vector formulas, which loop over every key of
+# the output degree and read the input through ``value()``.
+# ---------------------------------------------------------------------------
+
+
+def reference_keys(ring, degree):
+    return itertools.product(range(1, ring.rank), repeat=degree)
+
+
+def reference_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def reference_scale(s, u):
+    return tuple(s * a for a in u)
+
+
+def reference_eval_vectors(x, vectors):
+    """Multilinear evaluation on ring elements; unit components die."""
+    acc = x.ring.zero
+    for key in reference_keys(x.ring, x.degree):
+        coeff = 1
+        for t, vec in zip(key, vectors):
+            coeff *= vec[t]
+        acc = reference_add(acc, reference_scale(coeff, x.value(key)))
+    return acc
+
+
+def reference_hochschild_d(x):
+    """Outer multiplications at the ends, adjacent products with sign (-1)^i
+    in the middle, (-1)^{p+1} at the far end."""
+    ring, p = x.ring, x.degree
+    table = {}
+    for key in reference_keys(ring, p + 1):
+        total = ring.mul(ring.basis_vector(key[0]), x.value(key[1:]))
+        for i in range(1, p + 1):
+            prod = ring.table[key[i - 1]][key[i]]
+            inner = ring.zero
+            for l in range(1, ring.rank):
+                inner = reference_add(inner, reference_scale(prod[l], x.value(key[: i - 1] + (l,) + key[i + 1 :])))
+            total = reference_add(total, reference_scale((-1) ** i, inner))
+        last = ring.mul(x.value(key[:p]), ring.basis_vector(key[p]))
+        table[key] = reference_add(total, reference_scale((-1) ** (p + 1), last))
+    return from_vectors(ring, p + 1, table)
+
+
+def reference_cup(x, y):
+    ring = x.ring
+    table = {}
+    for kx in reference_keys(ring, x.degree):
+        for ky in reference_keys(ring, y.degree):
+            table[kx + ky] = ring.mul(x.value(kx), y.value(ky))
+    return from_vectors(ring, x.degree + y.degree, table)
+
+
+def reference_brace(x, args):
+    ring = x.ring
+    out_degree = sum(y.degree for y in args)
+    table = {}
+    for key in reference_keys(ring, out_degree):
+        vectors, pos = [], 0
+        for y in args:
+            vectors.append(y.value(key[pos : pos + y.degree]))
+            pos += y.degree
+        table[key] = reference_eval_vectors(x, vectors)
+    return from_vectors(ring, out_degree, table)
+
+
+class TestVectorReference:
+    # dense, and sparse with each entry kept with probability 0.3; three
+    # draws per ring, density and degree
+    CASES = [(ring, density, p) for ring in RINGS for density in (None, 0.3) for p in range(4) for _ in range(3)]
+
+    def test_hochschild_d_and_cup(self):
+        rng = random.Random(17)
+        nonzero = [0, 0]
+        for ring, density, p in self.CASES:
+            x = random_cochain(ring, p, rng, density)
+            y = random_cochain(ring, rng.randrange(4), rng, density)
+            dx, xy = hochschild_d(x), cup(x, y)
+            assert dx == reference_hochschild_d(x), (ring.names, p, density)
+            assert xy == reference_cup(x, y), (ring.names, p, y.degree, density)
+            nonzero[0] += not dx.is_zero()
+            nonzero[1] += not xy.is_zero()
+        assert nonzero == [33, 45]  # of 72 cases
+
+    def test_brace(self):
+        rng = random.Random(18)
+        nonzero = 0
+        for ring, density, p in self.CASES:
+            x = random_cochain(ring, p, rng, density)
+            ys = [random_cochain(ring, rng.randrange(3), rng, density) for _ in range(p)]
+            got = brace(x, ys)
+            assert got == reference_brace(x, ys), (ring.names, p, [y.degree for y in ys], density)
+            nonzero += not got.is_zero()
+        assert nonzero == 39  # of 72 cases
+
+
+class TestHighDegree:
+    """One entry of degree 40: a loop over the 2^40 keys of that degree
+    would never finish, while the entries give the answer at once."""
+
+    N = 40
+
+    def test_hochschild_d_of_one_entry(self):
+        ring = upper_triangular()
+        x = HochschildCochain(ring, self.N, {((2,) * self.N, 2): 1})
+        assert hochschild_d(x).coeffs == {((1,) + (2,) * self.N, 1): 1}
+
+    def test_brace_of_one_entry(self):
+        ring = upper_triangular()
+        x1 = from_vectors(ring, 1, {(1,): (0, 1, 0), (2,): (1, 0, 1)})
+        x2 = HochschildCochain(ring, self.N, {((2,) * self.N, 2): 1})
+        assert brace(x1, [x2]).coeffs == {((2,) * self.N, 0): 1, ((2,) * self.N, 2): 1}
